@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use netcon_core::seeds::derive2;
 use netcon_core::{
-    BucketSim, EventSim, Population, RoundSim, RuleProtocol, ShuffledRounds, Simulation,
+    BucketSim, Driver, EventSim, Population, RoundSim, RuleProtocol, ShuffledRounds, Simulation,
     SparsePop, StateId,
 };
 

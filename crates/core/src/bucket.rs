@@ -58,11 +58,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{geometric_skip, unit_open01, GeoCacheSlot};
+use crate::driver::{sealed::Sealed, EndgameEvent, Kernel};
+use crate::engine::{geometric_skip, unit_open01, Bookkeeping, GeoCacheSlot};
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::walk::{
     bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
     sample_poisson, sample_weighted,
@@ -302,47 +303,6 @@ impl SparsePop {
     }
 }
 
-/// Wide (`u128`) run counters. The batched endgame advances the raw-step
-/// clock by negative-binomial totals that overflow `u64` at the
-/// million-node frontier (a 10¹²-effective-step walk at a ~10⁻¹¹ hit
-/// probability consumes ~10²³ raw steps). Budgets and the public
-/// accessors keep speaking saturating `u64`;
-/// [`BucketSim::steps_wide`] exposes the exact count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WideBook {
-    steps: u128,
-    effective_steps: u128,
-    edge_events: u64,
-    last_output_change: u128,
-    last_effective: u128,
-}
-
-/// Saturates a wide counter into the `u64` the cross-engine API speaks.
-fn sat64(x: u128) -> u64 {
-    u64::try_from(x).unwrap_or(u64::MAX)
-}
-
-impl WideBook {
-    /// Records an effective interaction at the current `steps` count.
-    fn record_effective(&mut self, edge_changed: bool) {
-        if edge_changed {
-            self.edge_events += 1;
-            self.last_output_change = self.steps;
-        }
-        self.effective_steps += 1;
-        self.last_effective = self.steps;
-    }
-
-    /// The [`RunOutcome`] for a stable predicate observed right now.
-    fn stabilized_now(&self) -> RunOutcome {
-        RunOutcome::Stabilized {
-            detected_at: sat64(self.steps),
-            converged_at: sat64(self.last_output_change),
-            last_effective: sat64(self.last_effective),
-        }
-    }
-}
-
 /// A conditioned walker future carried on the per-draw path: the walker
 /// will absorb at side `exit0` in exactly `rem` more of its own steps,
 /// and until then every move it is drawn for follows the Doob
@@ -366,7 +326,7 @@ struct Commit {
 /// sparse view stays parked at `path[z]` (its position when the
 /// embedding began) until the session materializes it — stale states on
 /// path interiors are invisible to graph-only predicates, which is all
-/// [`BucketSim::run_until_edges`] admits.
+/// [`Driver::run_until_edges`](crate::Driver::run_until_edges) admits.
 #[derive(Debug, Clone)]
 struct Walker {
     path: Vec<u32>,
@@ -446,19 +406,6 @@ struct Endgame {
     ineff_run: u64,
 }
 
-/// One processed session event, as seen by the driving loop.
-enum EndgameEvent {
-    /// An event was applied; `edge_changed` reports whether the output
-    /// graph moved (predicate re-evaluation point). The session may have
-    /// closed right after the event (validation failure) — the next call
-    /// re-opens or reports `Idle`.
-    Applied { edge_changed: bool },
-    /// No session is active and none could open (nothing batchable,
-    /// retry throttle, or quiescence); the caller falls back to the
-    /// per-draw path.
-    Idle,
-}
-
 /// After a failed session-open attempt, effective steps to wait before
 /// paying for another scan — opening is O(path length), so retrying it
 /// per effective step would be quadratic on non-batchable
@@ -469,8 +416,8 @@ const ENDGAME_RETRY: u128 = 64;
 /// [module docs](self) for the exactness argument).
 ///
 /// Mirrors the [`EventSim`](crate::EventSim) API — [`advance`] returns
-/// the same [`EventStep`], `run_until`/`run_until_edges`/`run_to` have
-/// the same semantics — except that stability predicates receive a
+/// the same [`EventStep`], and the shared [`Driver`](crate::Driver)
+/// runs it — except that stability predicates receive a
 /// [`SparsePop`] view instead of a dense
 /// [`Population`]: no Θ(n²) structure is ever built.
 ///
@@ -479,7 +426,7 @@ const ENDGAME_RETRY: u128 = 64;
 /// # Example
 ///
 /// ```
-/// use netcon_core::{BucketSim, Link, ProtocolBuilder};
+/// use netcon_core::{BucketSim, Driver, Link, ProtocolBuilder};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");
@@ -498,7 +445,7 @@ pub struct BucketSim<M: EnumerableMachine> {
     machine: M,
     sp: SparsePop,
     rng: SmallRng,
-    book: WideBook,
+    book: Bookkeeping,
     table: EffectTable,
     /// Ordered state pairs `(s, t)` with `can_affect(s, t, Off)` — the
     /// off buckets, fixed at construction.
@@ -530,7 +477,7 @@ pub struct BucketSim<M: EnumerableMachine> {
     endgame_retry_after: u128,
     /// The open batched-endgame session, if any. `None` at every public
     /// API boundary — sessions live entirely inside
-    /// [`run_until_edges`](Self::run_until_edges).
+    /// [`Driver::run_until_edges`](crate::Driver::run_until_edges).
     eg: Option<Endgame>,
 }
 
@@ -600,12 +547,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
         sim
     }
 
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// Creates a sparse simulation from an explicit dense configuration
     /// (one scan of its active edges; the dense edge set is dropped).
     ///
@@ -652,7 +593,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             machine,
             sp,
             rng: SmallRng::seed_from_u64(seed),
-            book: WideBook::default(),
+            book: Bookkeeping::default(),
             table,
             off_pairs,
             cum,
@@ -693,7 +634,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// the exact count.
     #[must_use]
     pub fn steps(&self) -> u64 {
-        sat64(self.book.steps)
+        self.book.steps()
     }
 
     /// The exact step count: the batched endgame advances the clock by
@@ -707,7 +648,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// Effective interactions so far (saturating at `u64::MAX`).
     #[must_use]
     pub fn effective_steps(&self) -> u64 {
-        sat64(self.book.effective_steps)
+        self.book.effective_steps()
     }
 
     /// The exact effective-interaction count.
@@ -726,7 +667,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// saturating at `u64::MAX`.
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
-        sat64(self.book.last_output_change)
+        self.book.last_output_change()
     }
 
     /// The exact step of the most recent edge change (0 if none yet).
@@ -739,7 +680,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// yet), saturating at `u64::MAX`.
     #[must_use]
     pub fn last_effective(&self) -> u64 {
-        sat64(self.book.last_effective)
+        self.book.last_effective()
     }
 
     /// The current number of *ordered* candidate pairs `K = |E'|` — the
@@ -1037,123 +978,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             self.rebuild_weights();
         }
         self.off_total + 2 * self.on_list.len() as u64 == 0 || self.is_quiescent_scan()
-    }
-
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// same predicate-evaluation points (initially and after every
-    /// effective interaction) and outcome distribution as
-    /// [`EventSim::run_until`](crate::EventSim::run_until), with the
-    /// predicate reading the sparse view.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    ///
-    /// This is also where the **batched endgame** engages: when every
-    /// on-candidate is an edge of a lone-walker path (the merging-lines
-    /// endgame of Simple Global Line and its kin), the engine opens a
-    /// continuous-time session that absorbs whole walks from their exact
-    /// first-passage laws instead of draw by draw, racing them against
-    /// the remaining off-candidates through independent Poisson clocks.
-    /// Batching is sound precisely here — walk moves never change edges,
-    /// so no predicate evaluation point is skipped — and is gated to
-    /// unbounded budgets (a session cannot stop at an interior step
-    /// count) and to fault plans with no pending events (a session
-    /// cannot be interrupted).
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        let batching = max_steps == u64::MAX
-            && self.faults.as_ref().is_none_or(|fs| fs.next_at().is_none());
-        loop {
-            if batching {
-                match self.endgame_step() {
-                    EndgameEvent::Applied { edge_changed } => {
-                        if edge_changed && stable(&self.sp) {
-                            self.endgame_finish();
-                            return self.book.stabilized_now();
-                        }
-                        continue;
-                    }
-                    EndgameEvent::Idle => {}
-                }
-            }
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
-    }
-
-    /// Advances until the step counter reaches exactly `target` —
-    /// geometric memorylessness makes stopping and resuming mid-skip
-    /// exact (see [`EventSim::run_to`](crate::EventSim::run_to)).
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < u128::from(target) {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.book.steps = u128::from(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1845,6 +1669,50 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.probe_at = QUIESCENCE_PROBE;
     }
 
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// drops it from the on list if it rode there.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.sp.is_active(u, v) {
+            return;
+        }
+        let on_pos = self.sp.set_edge(u, v, false);
+        if on_pos != NOT_ON {
+            self.on_list_remove(on_pos as usize);
+        }
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+    }
+}
+
+impl<M: EnumerableMachine> Sealed for BucketSim<M> {
+    type View = SparsePop;
+}
+
+impl<M: EnumerableMachine> Kernel for BucketSim<M> {
+    fn view(&self) -> &SparsePop {
+        &self.sp
+    }
+
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        BucketSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> &Bookkeeping {
+        &self.book
+    }
+
+    fn book_mut(&mut self) -> &mut Bookkeeping {
+        &mut self.book
+    }
+
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
+    }
+
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
+    }
+
     /// Applies one resolved fault event by pure bucket/on-list
     /// reclassification: crashed nodes leave their bucket and shed their
     /// active edges; arrivals re-enter their retained bucket; deleted
@@ -1914,20 +1782,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.probe_at = QUIESCENCE_PROBE;
     }
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// drops it from the on list if it rode there.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        let on_pos = self.sp.set_edge(u, v, false);
-        if on_pos != NOT_ON {
-            self.on_list_remove(on_pos as usize);
-        }
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-    }
-
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set read off the sparse
     /// adjacency (the snapshot sorts, so iteration order is moot).
@@ -1940,145 +1794,20 @@ impl<M: EnumerableMachine> BucketSim<M> {
         ConfigSnapshot::new(states, edges)
     }
 
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        let now = u64::try_from(self.book.steps).unwrap_or(u64::MAX);
-        loop {
-            let due = self.faults.as_ref().and_then(|fs| fs.due_fault(now));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
+    fn batch_step(&mut self) -> EndgameEvent {
+        self.endgame_step()
     }
 
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`EventSim::run_faulted_to`](crate::EventSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability, with the predicate reading
-    /// the sparse view plus the fault state — same semantics as
-    /// [`EventSim::run_faulted_until`](crate::EventSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.sp, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.sp, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
+    fn batch_finish(&mut self) {
+        self.endgame_finish();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract;
+    use crate::{Driver, RunOutcome};
     use crate::{CompiledTable, EventSim, ProtocolBuilder, RuleProtocol};
 
     const OFF: Link = Link::Off;
@@ -2129,22 +1858,12 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly() {
-        let mut sim = BucketSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
+        contract::budget_is_respected_exactly_and_resumes(BucketSim::new);
     }
 
     #[test]
     fn run_to_lands_exactly_and_quiescence_jumps() {
-        let mut sim = BucketSim::new(matching_protocol(), 10, 5);
-        sim.run_to(123);
-        assert_eq!(sim.steps(), 123);
-        sim.run_until_edges(|p| p.active_count() == 5, u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        contract::run_to_lands_exactly_and_quiescence_jumps(BucketSim::new);
     }
 
     #[test]
@@ -2165,12 +1884,17 @@ mod tests {
 
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = BucketSim::new(p.compile(), 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget_immediately(BucketSim::new);
+    }
+
+    #[test]
+    fn quiescence_with_spent_budget_never_rewinds_steps() {
+        contract::quiescence_with_spent_budget_never_rewinds_steps(BucketSim::new);
+    }
+
+    #[test]
+    fn initial_configuration_can_be_stable() {
+        contract::initial_configuration_can_be_stable(BucketSim::new);
     }
 
     #[test]

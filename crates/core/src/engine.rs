@@ -394,22 +394,50 @@ pub(crate) fn output_graph<M: Machine>(
     out
 }
 
-/// The per-run counters every engine maintains.
+/// The run counters of the fast engines, shared by their driver.
+///
+/// The counts are wide (`u128`): [`BucketSim`](crate::BucketSim)'s
+/// batched endgame advances the raw-step clock by negative-binomial
+/// totals that overflow `u64` at the million-node frontier (a
+/// 10¹²-effective-step walk at a ~10⁻¹¹ hit probability consumes ~10²³
+/// raw steps). Budgets, [`RunOutcome`] and the public accessors speak
+/// saturating `u64`; an engine that never batches never passes its
+/// `u64` budget, so for it the saturating reads are exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Bookkeeping {
     /// Scheduler-selected interactions so far (including ineffective ones).
-    pub steps: u64,
+    pub steps: u128,
     /// Effective interactions so far.
-    pub effective_steps: u64,
+    pub effective_steps: u128,
     /// Edge activations/deactivations so far.
     pub edge_events: u64,
     /// Step of the most recent edge change (0 if none yet).
-    pub last_output_change: u64,
+    pub last_output_change: u128,
     /// Step of the most recent effective interaction (0 if none yet).
-    pub last_effective: u64,
+    pub last_effective: u128,
 }
 
 impl Bookkeeping {
+    /// The step count, saturating at `u64::MAX`.
+    pub fn steps(&self) -> u64 {
+        u64::try_from(self.steps).unwrap_or(u64::MAX)
+    }
+
+    /// The effective-interaction count, saturating.
+    pub fn effective_steps(&self) -> u64 {
+        u64::try_from(self.effective_steps).unwrap_or(u64::MAX)
+    }
+
+    /// The step of the last edge change, saturating.
+    pub fn last_output_change(&self) -> u64 {
+        u64::try_from(self.last_output_change).unwrap_or(u64::MAX)
+    }
+
+    /// The step of the last effective interaction, saturating.
+    pub fn last_effective(&self) -> u64 {
+        u64::try_from(self.last_effective).unwrap_or(u64::MAX)
+    }
+
     /// Records an effective interaction at the current `steps` count.
     pub fn record_effective(&mut self, edge_changed: bool) {
         if edge_changed {
@@ -423,9 +451,9 @@ impl Bookkeeping {
     /// The [`RunOutcome`] for a stable predicate observed right now.
     pub fn stabilized_now(&self) -> RunOutcome {
         RunOutcome::Stabilized {
-            detected_at: self.steps,
-            converged_at: self.last_output_change,
-            last_effective: self.last_effective,
+            detected_at: self.steps(),
+            converged_at: self.last_output_change(),
+            last_effective: self.last_effective(),
         }
     }
 }
@@ -1322,5 +1350,8 @@ mod tests {
                 last_effective: 17
             }
         );
+        // Past u64 (the batched endgame's clock) the reads saturate.
+        b.steps = u128::from(u64::MAX) + 5;
+        assert_eq!((b.steps(), b.last_effective()), (u64::MAX, 17));
     }
 }

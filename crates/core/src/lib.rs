@@ -100,6 +100,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod driver;
 mod engine;
 mod machine;
 mod population;
@@ -121,6 +122,7 @@ pub mod walk;
 
 pub use bucket::{BucketSim, SparsePop};
 pub use compiled::{CompiledTable, EffectTable, EnumerableMachine};
+pub use driver::Driver;
 pub use engine::{
     geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
     unit_open01, GeoSkipCache, PairSet,

@@ -81,14 +81,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
+use crate::driver::{sealed::Sealed, Kernel};
 use crate::engine::{
     apply_desired_row, hypergeometric_count, hypergeometric_skip, unit_open01, Bookkeeping,
     EffectIndex, PairSet,
 };
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::{Link, Population};
 
 /// Monomorphic indexed-interaction entry point captured from
@@ -144,8 +145,8 @@ impl SchedSet {
 /// [`ShuffledRounds`](crate::ShuffledRounds) scheduler.
 ///
 /// Mirrors the [`EventSim`](crate::EventSim) API — [`advance`] returns
-/// the same [`EventStep`], `run_until` / `run_until_edges` / `run_to`
-/// have the same semantics — with identical output distribution to
+/// the same [`EventStep`], and the shared [`Driver`](crate::Driver)
+/// runs it — with identical output distribution to
 /// [`Simulation`](crate::Simulation) under `ShuffledRounds` (see the
 /// [module docs](self) for the exactness argument), plus round-level
 /// bookkeeping: [`rounds_completed`](Self::rounds_completed),
@@ -158,7 +159,7 @@ impl SchedSet {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{Link, ProtocolBuilder, RoundSim};
+/// use netcon_core::{Driver, Link, ProtocolBuilder, RoundSim};
 /// use netcon_graph::properties::is_maximum_matching;
 ///
 /// let mut b = ProtocolBuilder::new("matching");
@@ -313,12 +314,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
         sim
     }
 
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// The current configuration.
     #[must_use]
     pub fn population(&self) -> &Population<M::State> {
@@ -334,13 +329,13 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// Steps taken so far (including skipped ineffective draws).
     #[must_use]
     pub fn steps(&self) -> u64 {
-        self.book.steps
+        self.book.steps()
     }
 
     /// Effective interactions so far.
     #[must_use]
     pub fn effective_steps(&self) -> u64 {
-        self.book.effective_steps
+        self.book.effective_steps()
     }
 
     /// Edge activations/deactivations so far.
@@ -352,13 +347,13 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// The step of the most recent edge change (0 if none yet).
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
-        self.book.last_output_change
+        self.book.last_output_change()
     }
 
     /// The step of the most recent effective interaction (0 if none yet).
     #[must_use]
     pub fn last_effective(&self) -> u64 {
-        self.book.last_effective
+        self.book.last_effective()
     }
 
     /// The number of scheduler draws in one round: every unordered pair
@@ -371,7 +366,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// Rounds completed so far, `steps / pairs_per_round()`.
     #[must_use]
     pub fn rounds_completed(&self) -> u64 {
-        self.book.steps / self.m
+        self.book.steps() / self.m
     }
 
     /// The 1-based round containing draw `step` (0 for `step = 0`): the
@@ -385,13 +380,13 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// rounds once a run stabilizes (0 if no edge ever changed).
     #[must_use]
     pub fn last_output_change_round(&self) -> u64 {
-        self.round_of(self.book.last_output_change)
+        self.round_of(self.book.last_output_change())
     }
 
     /// The round of the most recent effective interaction (0 if none).
     #[must_use]
     pub fn last_effective_round(&self) -> u64 {
-        self.round_of(self.book.last_effective)
+        self.round_of(self.book.last_effective())
     }
 
     /// The number of currently effective pairs (scheduled or not).
@@ -415,7 +410,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn pool_invariant_holds(&self) -> bool {
         self.cand.len() as u64 + self.ineff_rem.len() as u64 + self.u_rem
-            == self.m - self.book.steps % self.m
+            == self.m - self.book.steps() % self.m
     }
 
     /// Bytes of heap memory held by the engine: the effective index and
@@ -467,7 +462,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// candidate set is exactly the effective set and the anonymous pool
     /// is its complement.
     fn reset_round(&mut self) {
-        debug_assert_eq!(self.book.steps % self.m, 0);
+        debug_assert_eq!(self.book.steps() % self.m, 0);
         self.cand.clear();
         self.ineff_rem.clear();
         self.sched.clear();
@@ -570,13 +565,14 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// of the fresh round has been resolved.
     fn jump_quiescent_to(&mut self, target: u64) {
         debug_assert!(self.pairs.is_empty());
-        let remaining = self.m - self.book.steps % self.m;
-        if target - self.book.steps < remaining {
-            self.schedule_skips(target - self.book.steps);
-            self.book.steps = target;
+        let steps = self.book.steps();
+        let remaining = self.m - steps % self.m;
+        if target - steps < remaining {
+            self.schedule_skips(target - steps);
+            self.book.steps = u128::from(target);
             return;
         }
-        self.book.steps = target;
+        self.book.steps = u128::from(target);
         self.cand.clear();
         self.ineff_rem.clear();
         self.sched.clear();
@@ -593,11 +589,11 @@ impl<M: EnumerableMachine> RoundSim<M> {
             return EventStep::Quiescent;
         }
         loop {
-            let remaining_budget = max_steps.saturating_sub(self.book.steps);
+            let remaining_budget = max_steps.saturating_sub(self.book.steps());
             if remaining_budget == 0 {
                 return EventStep::BudgetExhausted;
             }
-            let pos = self.book.steps % self.m;
+            let pos = self.book.steps() % self.m;
             let r = self.m - pos;
             let k = self.cand.len() as u64;
             if k == 0 {
@@ -609,15 +605,15 @@ impl<M: EnumerableMachine> RoundSim<M> {
                 // desynchronize the coin stream between a straight run
                 // and one stopped exactly on the boundary.
                 if r <= remaining_budget {
-                    self.book.steps += r;
+                    self.book.steps += u128::from(r);
                     self.reset_round();
-                    if self.book.steps == max_steps {
+                    if self.book.steps() == max_steps {
                         return EventStep::BudgetExhausted;
                     }
                     continue;
                 }
                 self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
+                self.book.steps = u128::from(max_steps);
                 return EventStep::BudgetExhausted;
             }
             let skipped = hypergeometric_skip(unit_open01(self.rng.next_u64()), r, k);
@@ -626,11 +622,11 @@ impl<M: EnumerableMachine> RoundSim<M> {
                 // it is ineffective, and the skip law's self-similarity
                 // under truncation makes a later resume exact.
                 self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
+                self.book.steps = u128::from(max_steps);
                 return EventStep::BudgetExhausted;
             }
             self.schedule_skips(skipped);
-            self.book.steps += skipped + 1;
+            self.book.steps += u128::from(skipped) + 1;
             return self.apply_candidate(skipped);
         }
     }
@@ -657,7 +653,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
             // A randomized rule sampled the identity: one real step, no
             // change — but the pair has consumed its occurrence this
             // round.
-            if self.book.steps.is_multiple_of(self.m) {
+            if self.book.steps().is_multiple_of(self.m) {
                 self.reset_round();
             }
             return EventStep::Candidate {
@@ -680,7 +676,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
         self.old_row_v.copy_from_slice(self.pairs.row_bits(v));
         self.index
             .on_interaction(&self.machine, &self.pop, &mut self.pairs, u, v);
-        if self.book.steps.is_multiple_of(self.m) {
+        if self.book.steps().is_multiple_of(self.m) {
             // The candidate was the round's last draw; the next round
             // rebuilds everything from the effective set anyway.
             self.reset_round();
@@ -698,104 +694,63 @@ impl<M: EnumerableMachine> RoundSim<M> {
         }
     }
 
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// the ShuffledRounds counterpart of
-    /// [`EventSim::run_until`](crate::EventSim::run_until), with the same
-    /// predicate-evaluation points (initially and after every effective
-    /// interaction) and the same outcome distribution as the naive loop.
-    ///
-    /// If the configuration quiesces while `stable` is false, the naive
-    /// engine would idle through the rest of the budget; this engine
-    /// reports the exhausted budget immediately.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// reclassifies the single affected pair.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.pop.edges().is_active(u, v) {
+            return;
         }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
+        self.pop.edges_mut().set(u, v, false);
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let now_eff = self.index.table().can_affect(
+            self.index.state_index(a),
+            self.index.state_index(b),
+            Link::Off,
+        );
+        if self.pairs.contains(a, b) != now_eff {
+            self.pairs.set(a, b, now_eff);
+            self.reclass_pair(a, b, now_eff);
+        }
+    }
+}
+
+impl<M: EnumerableMachine> Sealed for RoundSim<M> {
+    type View = Population<M::State>;
+}
+
+impl<M: EnumerableMachine> Kernel for RoundSim<M> {
+    fn view(&self) -> &Population<M::State> {
+        &self.pop
+    }
+
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        RoundSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> &Bookkeeping {
+        &self.book
+    }
+
+    fn book_mut(&mut self) -> &mut Bookkeeping {
+        &mut self.book
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        if target > self.book.steps() {
+            self.jump_quiescent_to(target);
         }
     }
 
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
     }
 
-    /// Advances until the step counter reaches exactly `target` — the
-    /// negative hypergeometric law is self-similar under truncation
-    /// (see [`hypergeometric_skip`]), so
-    /// stopping and resuming mid-skip is exact.
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < target {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.jump_quiescent_to(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
     }
 
     /// Applies one resolved fault event, reclassifying exactly the pairs
@@ -863,178 +818,19 @@ impl<M: EnumerableMachine> RoundSim<M> {
         }
     }
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let now_eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        if self.pairs.contains(a, b) != now_eff {
-            self.pairs.set(a, b, now_eff);
-            self.reclass_pair(a, b, now_eff);
-        }
-    }
-
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set.
     fn config_snapshot(&self) -> ConfigSnapshot {
         let states = (0..self.pop.n()).map(|u| self.index.state_index(u)).collect();
         ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        loop {
-            let due = self
-                .faults
-                .as_ref()
-                .and_then(|fs| fs.due_fault(self.book.steps));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`EventSim::run_faulted_to`](crate::EventSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability — same semantics as
-    /// [`EventSim::run_faulted_until`](crate::EventSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.pop, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.pop, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract;
+    use crate::Driver;
     use crate::{ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
@@ -1126,35 +922,25 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly_and_resumes() {
-        let mut sim = RoundSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
-        // Resume mid-round: the skip law is self-similar, the run goes on.
-        sim.run_to(2_000);
-        assert_eq!(sim.steps(), 2_000);
-        let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
-        assert!(out.stabilized());
+        let sim = contract::budget_is_respected_exactly_and_resumes(RoundSim::new);
+        assert!(sim.pool_invariant_holds());
     }
 
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = RoundSim::new(p, 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget_immediately(RoundSim::new);
     }
 
     #[test]
     fn quiescence_after_convergence_jumps_to_target() {
-        let mut sim = RoundSim::new(matching_protocol(), 10, 5);
-        sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        let sim = contract::run_to_lands_exactly_and_quiescence_jumps(RoundSim::new);
+        assert!(sim.pool_invariant_holds());
+    }
+
+    #[test]
+    fn quiescence_with_spent_budget_never_rewinds_steps() {
+        let sim = contract::quiescence_with_spent_budget_never_rewinds_steps(RoundSim::new);
+        assert!(sim.pool_invariant_holds());
     }
 
     #[test]
@@ -1238,16 +1024,7 @@ mod tests {
 
     #[test]
     fn initial_configuration_can_be_stable() {
-        let mut sim = RoundSim::new(matching_protocol(), 6, 2);
-        let out = sim.run_until(|_| true, 10);
-        assert_eq!(
-            out,
-            RunOutcome::Stabilized {
-                detected_at: 0,
-                converged_at: 0,
-                last_effective: 0
-            }
-        );
+        contract::initial_configuration_can_be_stable(RoundSim::new);
     }
 
     #[test]

@@ -92,11 +92,12 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::bucket::SparsePop;
 use crate::compiled::{EffectTable, EnumerableMachine};
+use crate::driver::{sealed::Sealed, Kernel};
 use crate::engine::{hypergeometric_count_large, hypergeometric_skip, unit_open01, Bookkeeping};
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::{Link, Population};
 
 /// Monomorphic indexed-interaction entry point captured from
@@ -178,7 +179,7 @@ struct LogEntry {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{Link, ProtocolBuilder, RoundBucketSim};
+/// use netcon_core::{Driver, Link, ProtocolBuilder, RoundBucketSim};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");
@@ -419,22 +420,16 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         &self.machine
     }
 
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// Steps taken so far (including skipped ineffective draws).
     #[must_use]
     pub fn steps(&self) -> u64 {
-        self.book.steps
+        self.book.steps()
     }
 
     /// Effective interactions so far.
     #[must_use]
     pub fn effective_steps(&self) -> u64 {
-        self.book.effective_steps
+        self.book.effective_steps()
     }
 
     /// Edge activations/deactivations so far.
@@ -446,13 +441,13 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// The step of the most recent edge change (0 if none yet).
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
-        self.book.last_output_change
+        self.book.last_output_change()
     }
 
     /// The step of the most recent effective interaction (0 if none yet).
     #[must_use]
     pub fn last_effective(&self) -> u64 {
-        self.book.last_effective
+        self.book.last_effective()
     }
 
     /// The number of scheduler draws in one round: every unordered pair
@@ -465,7 +460,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// Rounds completed so far, `steps / pairs_per_round()`.
     #[must_use]
     pub fn rounds_completed(&self) -> u64 {
-        self.book.steps / self.m
+        self.book.steps() / self.m
     }
 
     /// The 1-based round containing draw `step` (0 for `step = 0`).
@@ -478,13 +473,13 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// rounds once a run stabilizes (0 if no edge ever changed).
     #[must_use]
     pub fn last_output_change_round(&self) -> u64 {
-        self.round_of(self.book.last_output_change)
+        self.round_of(self.book.last_output_change())
     }
 
     /// The round of the most recent effective interaction (0 if none).
     #[must_use]
     pub fn last_effective_round(&self) -> u64 {
-        self.round_of(self.book.last_effective)
+        self.round_of(self.book.last_effective())
     }
 
     /// The number of currently effective pairs, scheduled or not —
@@ -522,7 +517,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             + self.x_c_u.len() as u64
             + self.x_nc_u.len() as u64
             + self.anon_nc_unc
-            == self.m - self.book.steps % self.m
+            == self.m - self.book.steps() % self.m
     }
 
     /// Materializes the dense configuration — Θ(n²) bits for the edge
@@ -1184,11 +1179,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             return EventStep::Quiescent;
         }
         loop {
-            let remaining_budget = max_steps.saturating_sub(self.book.steps);
+            let remaining_budget = max_steps.saturating_sub(self.book.steps());
             if remaining_budget == 0 {
                 return EventStep::BudgetExhausted;
             }
-            let pos = self.book.steps % self.m;
+            let pos = self.book.steps() % self.m;
             let r = self.m - pos;
             let k = self.avail();
             if k == 0 {
@@ -1200,15 +1195,15 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
                 // desynchronize the coin stream between a straight run
                 // and one stopped exactly on the boundary.
                 if r <= remaining_budget {
-                    self.book.steps += r;
+                    self.book.steps += u128::from(r);
                     self.start_round(0);
-                    if self.book.steps == max_steps {
+                    if self.book.steps() == max_steps {
                         return EventStep::BudgetExhausted;
                     }
                     continue;
                 }
                 self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
+                self.book.steps = u128::from(max_steps);
                 return EventStep::BudgetExhausted;
             }
             let u = self.u01();
@@ -1218,11 +1213,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
                 // in-budget skips only. `skipped ≤ r − 1`, so this never
                 // lands exactly on a round boundary.
                 self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
+                self.book.steps = u128::from(max_steps);
                 return EventStep::BudgetExhausted;
             }
             self.schedule_skips(skipped);
-            self.book.steps += skipped + 1;
+            self.book.steps += u128::from(skipped) + 1;
             return self.apply_candidate(skipped);
         }
     }
@@ -1271,7 +1266,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         );
         let pair = (a, b);
         let Some((a2, b2, l2)) = outcome else {
-            if self.book.steps.is_multiple_of(self.m) {
+            if self.book.steps().is_multiple_of(self.m) {
                 self.start_round(0);
             }
             debug_assert!(self.pool_invariant_holds());
@@ -1285,7 +1280,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             self.sp.set_edge(a, b, l2.is_on());
         }
         self.book.record_effective(edge_changed);
-        if self.book.steps.is_multiple_of(self.m) {
+        if self.book.steps().is_multiple_of(self.m) {
             // The candidate landed on the round boundary: apply the
             // state writes directly and let the reset rebuild everything.
             self.sp.set_state_index(a, a2);
@@ -1375,122 +1370,71 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     ///
     /// [`schedule_skips`]: Self::schedule_skips
     fn jump_quiescent_to(&mut self, target: u64) {
-        debug_assert!(self.is_quiescent() && target >= self.book.steps);
-        let remaining = self.m - self.book.steps % self.m;
-        if target - self.book.steps < remaining {
-            let t = target - self.book.steps;
+        let steps = self.book.steps();
+        debug_assert!(self.is_quiescent() && target >= steps);
+        let remaining = self.m - steps % self.m;
+        if target - steps < remaining {
+            let t = target - steps;
             self.schedule_skips(t);
-            self.book.steps = target;
+            self.book.steps = u128::from(target);
             return;
         }
-        self.book.steps = target;
+        self.book.steps = u128::from(target);
         self.start_round(target % self.m);
     }
 }
 
 // ---------------------------------------------------------------------
-// Run loops (predicates over the sparse view) and the fault layer.
+// The fault layer.
 // ---------------------------------------------------------------------
 impl<M: EnumerableMachine> RoundBucketSim<M> {
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// the sparse counterpart of
-    /// [`RoundSim::run_until`](crate::RoundSim::run_until), with the same
-    /// predicate-evaluation points (initially and after every effective
-    /// interaction). The predicate reads the [`SparsePop`] view, like
-    /// [`BucketSim::run_until`](crate::BucketSim::run_until).
-    ///
-    /// If the configuration quiesces while `stable` is false, the clock
-    /// jumps to the budget and the exhausted budget is reported
-    /// immediately.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// reclassifies the single affected pair — explicit by the
+    /// active-edge invariant.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.sp.is_active(u, v) {
+            return;
         }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
+        self.sp.set_edge(u, v, false);
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+        self.recompute_x(u, v);
+    }
+}
+
+impl<M: EnumerableMachine> Sealed for RoundBucketSim<M> {
+    type View = SparsePop;
+}
+
+impl<M: EnumerableMachine> Kernel for RoundBucketSim<M> {
+    fn view(&self) -> &SparsePop {
+        &self.sp
+    }
+
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        RoundBucketSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> &Bookkeeping {
+        &self.book
+    }
+
+    fn book_mut(&mut self) -> &mut Bookkeeping {
+        &mut self.book
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        if target > self.book.steps() {
+            self.jump_quiescent_to(target);
         }
     }
 
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
     }
 
-    /// Advances until the step counter reaches exactly `target` — the
-    /// negative hypergeometric law is self-similar under truncation (see
-    /// [`hypergeometric_skip`]), so stopping and resuming mid-skip is
-    /// exact.
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < target {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.jump_quiescent_to(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
     }
 
     /// Applies one resolved fault event, reclassifying exactly the
@@ -1581,19 +1525,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         debug_assert!(self.pool_invariant_holds());
     }
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair — explicit by the
-    /// active-edge invariant.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        self.sp.set_edge(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        self.recompute_x(u, v);
-    }
-
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set read off the sparse
     /// adjacency (the snapshot sorts, so iteration order is moot).
@@ -1605,149 +1536,13 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         }
         ConfigSnapshot::new(states, edges)
     }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        loop {
-            let due = self
-                .faults
-                .as_ref()
-                .and_then(|fs| fs.due_fault(self.book.steps));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`RoundSim::run_faulted_to`](crate::RoundSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability — same semantics as
-    /// [`RoundSim::run_faulted_until`](crate::RoundSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.sp, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.sp, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract;
+    use crate::Driver;
     use crate::{ProtocolBuilder, RuleProtocol, RoundSim};
 
     const OFF: Link = Link::Off;
@@ -1839,35 +1634,24 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly_and_resumes() {
-        let mut sim = RoundBucketSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
-        // Resume mid-round: the skip law is self-similar, the run goes on.
-        sim.run_to(2_000);
-        assert_eq!(sim.steps(), 2_000);
-        let out = sim.run_until_edges(|sp| sp.active_count() == 25, u64::MAX);
-        assert!(out.stabilized());
+        let sim = contract::budget_is_respected_exactly_and_resumes(RoundBucketSim::new);
+        assert!(sim.pool_invariant_holds());
     }
 
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = RoundBucketSim::new(p, 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget_immediately(RoundBucketSim::new);
     }
 
     #[test]
     fn quiescence_after_convergence_jumps_to_target() {
-        let mut sim = RoundBucketSim::new(matching_protocol(), 10, 5);
-        sim.run_until_edges(|sp| sp.active_count() == 5, u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        let sim = contract::run_to_lands_exactly_and_quiescence_jumps(RoundBucketSim::new);
+        assert!(sim.pool_invariant_holds());
+    }
+
+    #[test]
+    fn quiescence_with_spent_budget_never_rewinds_steps() {
+        let sim = contract::quiescence_with_spent_budget_never_rewinds_steps(RoundBucketSim::new);
         assert!(sim.pool_invariant_holds());
     }
 
@@ -1945,16 +1729,7 @@ mod tests {
 
     #[test]
     fn initial_configuration_can_be_stable() {
-        let mut sim = RoundBucketSim::new(matching_protocol(), 6, 2);
-        let out = sim.run_until(|_| true, 10);
-        assert_eq!(
-            out,
-            RunOutcome::Stabilized {
-                detected_at: 0,
-                converged_at: 0,
-                last_effective: 0
-            }
-        );
+        contract::initial_configuration_can_be_stable(RoundBucketSim::new);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Engine selection: one entry point that picks an exact engine for a
 //! scheduler family by a memory budget.
 //!
-//! For the **uniform** scheduler, [`EventSim`] is the
-//! fastest exact engine per effective interaction but holds Θ(n²) bytes;
-//! [`BucketSim`] holds O(n + |Q|²) and pays a (usually tiny) rejection
-//! overhead instead. Both produce identically-distributed executions, so
-//! the only question is whether the dense structures fit:
-//! [`Engine::auto`] answers it with [`EventSim::dense_mem_estimate`]
+//! For the **uniform** scheduler, [`EventSim`] holds Θ(n²) bytes and
+//! [`BucketSim`] holds O(n + |Q|²). Both produce identically-distributed
+//! executions, and the selector decides by memory alone — whether the
+//! dense structures fit: [`Engine::auto`] answers it with
+//! [`EventSim::dense_mem_estimate`]
 //! against a budget (`NETCON_ENGINE_MEM_BUDGET` bytes, default 512 MiB),
 //! falling back to the sparse engine beyond it — or beyond the dense
 //! pair set's `n ≤ 65535` id range, whatever the budget says.
@@ -23,6 +22,7 @@
 
 use crate::bucket::{BucketSim, SparsePop};
 use crate::compiled::EnumerableMachine;
+use crate::driver::{Driver, Kernel};
 use crate::event::EventSim;
 use crate::fault::{FaultPlan, FaultState};
 use crate::round::RoundSim;
@@ -50,7 +50,7 @@ pub enum SchedulerKind {
     Uniform,
     /// The [`ShuffledRounds`](crate::ShuffledRounds) box scheduler —
     /// every pair once per round, rounds as parallel time. Routed to
-    /// [`RoundSim`] or the naive loop.
+    /// [`RoundSim`] or [`RoundBucketSim`].
     ShuffledRounds,
 }
 
@@ -236,6 +236,32 @@ pub enum Engine<M: EnumerableMachine + Clone> {
     },
 }
 
+/// The one dispatch point over the selected arm: binds the boxed engine
+/// to `$sim` and the machine copy to `$machine`, then evaluates `$body`
+/// — a separate, statically dispatched copy per arm.
+macro_rules! on_arm {
+    ($engine:expr, |$sim:ident, $machine:ident| $body:expr) => {
+        match $engine {
+            Engine::Dense {
+                sim: $sim,
+                machine: $machine,
+            } => $body,
+            Engine::Sparse {
+                sim: $sim,
+                machine: $machine,
+            } => $body,
+            Engine::Round {
+                sim: $sim,
+                machine: $machine,
+            } => $body,
+            Engine::RoundSparse {
+                sim: $sim,
+                machine: $machine,
+            } => $body,
+        }
+    };
+}
+
 impl<M: EnumerableMachine + Clone> Engine<M> {
     /// Selects a uniform-scheduler engine for `n` nodes under the default
     /// memory budget (`NETCON_ENGINE_MEM_BUDGET` bytes if set, else
@@ -265,10 +291,10 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     }
 
     /// Selects by an explicit budget within the given scheduler family:
-    /// the event-driven engine whose a-priori memory estimate fits
+    /// the dense engine whose a-priori memory estimate fits
     /// `budget_bytes` (and whose pair ids fit `n ≤ 65535`), else the
-    /// family's fallback — [`BucketSim`] for uniform, the naive loop for
-    /// ShuffledRounds.
+    /// family's sparse engine — [`BucketSim`] for uniform,
+    /// [`RoundBucketSim`] for ShuffledRounds.
     #[must_use]
     pub fn with_budget_for(
         machine: M,
@@ -378,10 +404,11 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
             .unwrap_or(DEFAULT_MEM_BUDGET)
     }
 
-    /// Whether the sparse engine was selected.
+    /// Whether a sparse engine ([`BucketSim`] or [`RoundBucketSim`]) was
+    /// selected.
     #[must_use]
     pub fn is_sparse(&self) -> bool {
-        matches!(self, Engine::Sparse { .. })
+        matches!(self, Engine::Sparse { .. } | Engine::RoundSparse { .. })
     }
 
     /// The scheduler family the selected engine reproduces.
@@ -408,81 +435,44 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     /// Steps taken so far (including skipped ineffective draws).
     #[must_use]
     pub fn steps(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.steps(),
-            Engine::Sparse { sim, .. } => sim.steps(),
-            Engine::Round { sim, .. } => sim.steps(),
-            Engine::RoundSparse { sim, .. } => sim.steps(),
-        }
+        on_arm!(self, |sim, _machine| sim.steps())
     }
 
     /// Effective interactions so far.
     #[must_use]
     pub fn effective_steps(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.effective_steps(),
-            Engine::Sparse { sim, .. } => sim.effective_steps(),
-            Engine::Round { sim, .. } => sim.effective_steps(),
-            Engine::RoundSparse { sim, .. } => sim.effective_steps(),
-        }
+        on_arm!(self, |sim, _machine| sim.effective_steps())
     }
 
     /// The step of the last output-graph (active edge set) change —
     /// what availability estimators use to attribute stable draws.
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.last_output_change(),
-            Engine::Sparse { sim, .. } => sim.last_output_change(),
-            Engine::Round { sim, .. } => sim.last_output_change(),
-            Engine::RoundSparse { sim, .. } => sim.last_output_change(),
-        }
+        on_arm!(self, |sim, _machine| sim.last_output_change())
     }
 
     /// Edge activations/deactivations so far.
     #[must_use]
     pub fn edge_events(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.edge_events(),
-            Engine::Sparse { sim, .. } => sim.edge_events(),
-            Engine::Round { sim, .. } => sim.edge_events(),
-            Engine::RoundSparse { sim, .. } => sim.edge_events(),
-        }
+        on_arm!(self, |sim, _machine| sim.edge_events())
     }
 
     /// Bytes of heap memory held by the selected engine.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.approx_mem_bytes(),
-            Engine::Sparse { sim, .. } => sim.approx_mem_bytes(),
-            Engine::Round { sim, .. } => sim.approx_mem_bytes(),
-            Engine::RoundSparse { sim, .. } => sim.approx_mem_bytes(),
-        }
+        on_arm!(self, |sim, _machine| sim.approx_mem_bytes())
     }
 
     /// Runs until `stable` holds over the engine's view or `max_steps`
-    /// total steps have elapsed — the selected engine's `run_until`, with
-    /// identical semantics on every arm.
+    /// total steps have elapsed — the selected engine's
+    /// [`Driver::run_until`], with identical semantics on every arm.
     pub fn run_until(
         &mut self,
         mut stable: impl FnMut(&EngineView<'_, M>) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => {
-                sim.run_until(|pop| stable(&EngineView::Dense { pop, machine }), max_steps)
-            }
-            Engine::Sparse { sim, machine } => {
-                sim.run_until(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-            Engine::Round { sim, machine } => {
-                sim.run_until(|pop| stable(&EngineView::Dense { pop, machine }), max_steps)
-            }
-            Engine::RoundSparse { sim, machine } => {
-                sim.run_until(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-        }
+        on_arm!(self, |sim, machine| sim
+            .run_until(|v| stable(&v.engine_view(machine)), max_steps))
     }
 
     /// Like [`run_until`](Self::run_until) but only re-evaluates the
@@ -492,56 +482,34 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         mut stable: impl FnMut(&EngineView<'_, M>) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => sim
-                .run_until_edges(|pop| stable(&EngineView::Dense { pop, machine }), max_steps),
-            Engine::Sparse { sim, machine } => {
-                sim.run_until_edges(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-            Engine::Round { sim, machine } => sim
-                .run_until_edges(|pop| stable(&EngineView::Dense { pop, machine }), max_steps),
-            Engine::RoundSparse { sim, machine } => sim
-                .run_until_edges(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps),
-        }
+        on_arm!(self, |sim, machine| sim
+            .run_until_edges(|v| stable(&v.engine_view(machine)), max_steps))
     }
 
     /// Advances until the step counter reaches exactly `target`.
     pub fn run_to(&mut self, target: u64) {
-        match self {
-            Engine::Dense { sim, .. } => sim.run_to(target),
-            Engine::Sparse { sim, .. } => sim.run_to(target),
-            Engine::Round { sim, .. } => sim.run_to(target),
-            Engine::RoundSparse { sim, .. } => sim.run_to(target),
-        }
+        on_arm!(self, |sim, _machine| sim.run_to(target));
     }
 
     /// Materializes the dense configuration (Θ(n²) on the sparse arm).
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
-        match self {
-            Engine::Dense { sim, .. } => sim.population().clone(),
-            Engine::Sparse { sim, .. } => sim.to_population(),
-            Engine::Round { sim, .. } => sim.population().clone(),
-            Engine::RoundSparse { sim, .. } => sim.to_population(),
-        }
+        on_arm!(self, |sim, machine| Kernel::view(sim.as_ref())
+            .engine_view(machine)
+            .to_population())
     }
 
     /// The fault state, if the engine was built with a [`FaultPlan`]
     /// (via [`auto_faulted`](Self::auto_faulted) and friends).
     #[must_use]
     pub fn fault_state(&self) -> Option<&FaultState> {
-        match self {
-            Engine::Dense { sim, .. } => sim.fault_state(),
-            Engine::Sparse { sim, .. } => sim.fault_state(),
-            Engine::Round { sim, .. } => sim.fault_state(),
-            Engine::RoundSparse { sim, .. } => sim.fault_state(),
-        }
+        on_arm!(self, |sim, _machine| sim.fault_state())
     }
 
     /// Runs a faulted execution to stability: the selected engine's
-    /// `run_faulted_until`, with the predicate reading the engine view
-    /// plus the fault state. Identical semantics on every arm; the
-    /// predicate is not consulted while plan events or adversary
+    /// [`Driver::run_faulted_until`], with the predicate reading the
+    /// engine view plus the fault state. Identical semantics on every
+    /// arm; the predicate is not consulted while plan events or adversary
     /// decisions are pending.
     ///
     /// # Panics
@@ -552,24 +520,10 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         mut stable: impl FnMut(&EngineView<'_, M>, &FaultState) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => sim.run_faulted_until(
-                |pop, fs| stable(&EngineView::Dense { pop, machine }, fs),
-                max_steps,
-            ),
-            Engine::Sparse { sim, machine } => sim.run_faulted_until(
-                |sp, fs| stable(&EngineView::Sparse { sp, machine }, fs),
-                max_steps,
-            ),
-            Engine::Round { sim, machine } => sim.run_faulted_until(
-                |pop, fs| stable(&EngineView::Dense { pop, machine }, fs),
-                max_steps,
-            ),
-            Engine::RoundSparse { sim, machine } => sim.run_faulted_until(
-                |sp, fs| stable(&EngineView::Sparse { sp, machine }, fs),
-                max_steps,
-            ),
-        }
+        on_arm!(self, |sim, machine| sim.run_faulted_until(
+            |v, fs| stable(&v.engine_view(machine), fs),
+            max_steps
+        ))
     }
 
     /// Advances to exactly `target` total steps, applying plan events
@@ -579,12 +533,7 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     ///
     /// Panics if the engine has no fault plan.
     pub fn run_faulted_to(&mut self, target: u64) {
-        match self {
-            Engine::Dense { sim, .. } => sim.run_faulted_to(target),
-            Engine::Sparse { sim, .. } => sim.run_faulted_to(target),
-            Engine::Round { sim, .. } => sim.run_faulted_to(target),
-            Engine::RoundSparse { sim, .. } => sim.run_faulted_to(target),
-        }
+        on_arm!(self, |sim, _machine| sim.run_faulted_to(target));
     }
 
     /// Applies every remaining plan event *now*, regardless of its
@@ -595,12 +544,25 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     ///
     /// Panics if the engine has no fault plan.
     pub fn apply_faults_now(&mut self) {
-        match self {
-            Engine::Dense { sim, .. } => sim.apply_faults_now(),
-            Engine::Sparse { sim, .. } => sim.apply_faults_now(),
-            Engine::Round { sim, .. } => sim.apply_faults_now(),
-            Engine::RoundSparse { sim, .. } => sim.apply_faults_now(),
-        }
+        on_arm!(self, |sim, _machine| sim.apply_faults_now());
+    }
+}
+
+/// An engine's native predicate view, as the [`EngineView`] arm it
+/// becomes.
+trait AsEngineView<M: EnumerableMachine> {
+    fn engine_view<'a>(&'a self, machine: &'a M) -> EngineView<'a, M>;
+}
+
+impl<M: EnumerableMachine> AsEngineView<M> for Population<M::State> {
+    fn engine_view<'a>(&'a self, machine: &'a M) -> EngineView<'a, M> {
+        EngineView::Dense { pop: self, machine }
+    }
+}
+
+impl<M: EnumerableMachine> AsEngineView<M> for SparsePop {
+    fn engine_view<'a>(&'a self, machine: &'a M) -> EngineView<'a, M> {
+        EngineView::Sparse { sp: self, machine }
     }
 }
 
@@ -622,9 +584,11 @@ mod tests {
         let round = Engine::with_budget_for(matching(), 30, 1, u64::MAX, SchedulerKind::ShuffledRounds);
         assert_eq!(round.kind(), "round-dense");
         assert_eq!(round.scheduler(), SchedulerKind::ShuffledRounds);
+        assert!(!round.is_sparse());
         let sparse = Engine::with_budget_for(matching(), 30, 1, 1, SchedulerKind::ShuffledRounds);
         assert_eq!(sparse.kind(), "round-sparse");
         assert_eq!(sparse.scheduler(), SchedulerKind::ShuffledRounds);
+        assert!(sparse.is_sparse());
         assert_eq!(
             Engine::auto(matching(), 30, 1).scheduler(),
             SchedulerKind::Uniform
@@ -634,7 +598,7 @@ mod tests {
     #[test]
     fn round_arms_run_the_same_protocol() {
         // A perfect matching completes within round 1 under any box
-        // schedule, on both the event-driven and the naive arm.
+        // schedule, on both the dense and the sparse round arm.
         let m = 30 * 29 / 2;
         for budget in [u64::MAX, 1] {
             let mut eng =

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::compiled::EnumerableMachine;
-use crate::engine::{Bookkeeping, EffectIndex, PairSet};
+use crate::engine::{EffectIndex, PairSet};
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
 use crate::{Link, Machine, Population, Scheduler, Uniform};
@@ -119,9 +119,43 @@ pub struct Simulation<M: Machine, S: Scheduler = Uniform> {
     scheduler: S,
     pop: Population<M::State>,
     rng: SmallRng,
-    book: Bookkeeping,
+    book: Counters,
     tracker: Option<Tracker<M>>,
     faults: Option<FaultState>,
+}
+
+/// The reference loop's run counters. The fast engines share a wide
+/// step book through their common driver; the reference keeps its own,
+/// so that no bookkeeping bug can reach both sides of the equivalence
+/// suite.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counters {
+    steps: u64,
+    effective_steps: u64,
+    edge_events: u64,
+    last_output_change: u64,
+    last_effective: u64,
+}
+
+impl Counters {
+    /// Records an effective interaction at the current `steps` count.
+    fn record_effective(&mut self, edge_changed: bool) {
+        if edge_changed {
+            self.edge_events += 1;
+            self.last_output_change = self.steps;
+        }
+        self.effective_steps += 1;
+        self.last_effective = self.steps;
+    }
+
+    /// The [`RunOutcome`] for a stable predicate observed right now.
+    fn stabilized_now(&self) -> RunOutcome {
+        RunOutcome::Stabilized {
+            detected_at: self.steps,
+            converged_at: self.last_output_change,
+            last_effective: self.last_effective,
+        }
+    }
 }
 
 /// Optional incremental effective-pair tracking (see
@@ -218,7 +252,7 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
             scheduler,
             pop,
             rng: SmallRng::seed_from_u64(seed),
-            book: Bookkeeping::default(),
+            book: Counters::default(),
             tracker: None,
             faults: None,
         }

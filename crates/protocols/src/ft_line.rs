@@ -122,7 +122,8 @@ pub fn is_stable_faulted_pop(pop: &Population<StateId>, fs: &FaultState) -> bool
 }
 
 /// [`is_stable_faulted`] over the sparse view — the form
-/// [`BucketSim::run_faulted_until`](netcon_core::BucketSim) consumes.
+/// [`Driver::run_faulted_until`](netcon_core::Driver::run_faulted_until)
+/// consumes on the sparse engines.
 #[must_use]
 pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
     sp.active_count() + 1 == fs.alive_count()

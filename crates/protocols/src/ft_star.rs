@@ -114,7 +114,8 @@ pub fn is_stable_faulted_pop(pop: &Population<StateId>, fs: &FaultState) -> bool
 }
 
 /// [`is_stable_faulted`] over the sparse view — the form
-/// [`BucketSim::run_faulted_until`](netcon_core::BucketSim) consumes.
+/// [`Driver::run_faulted_until`](netcon_core::Driver::run_faulted_until)
+/// consumes on the sparse engines.
 #[must_use]
 pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
     let alive = fs.alive_count();
@@ -134,7 +135,7 @@ pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
 mod tests {
     use super::*;
     use netcon_core::testing::assert_stabilizes;
-    use netcon_core::{BucketSim, Engine, EventSim, FaultEvent, FaultPlan, Machine};
+    use netcon_core::{BucketSim, Driver, Engine, EventSim, FaultEvent, FaultPlan, Machine};
     use netcon_graph::properties::is_spanning_star;
 
     #[test]

@@ -107,7 +107,7 @@ proptest! {
 
 mod churn_plans {
     use super::*;
-    use netcon::core::{AdversaryPlan, AdversaryPolicy, Cadence, ChurnPlan, EventSim};
+    use netcon::core::{AdversaryPlan, AdversaryPolicy, Cadence, ChurnPlan, Driver, EventSim};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
