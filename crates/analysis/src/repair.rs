@@ -48,14 +48,14 @@ impl Default for FaultSeverity {
 }
 
 impl FaultSeverity {
-    /// Parses the compact `"crashes,arrivals,edge_deletions"` form used
-    /// by the bench harness's severity knob (e.g. `"2,1,3"`).
+    /// Parses the compact `"crashes,arrivals,edge_deletions"` form
+    /// (e.g. `"2,1,3"`), the spelling of a perf record's `severity`
+    /// field.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending field (or the arity
-    /// problem) and the expected format — surfaced verbatim when a bad
-    /// `NETCON_FAULT_SEVERITY` value reaches the bench harness.
+    /// problem) and the expected format.
     pub fn parse(s: &str) -> Result<Self, String> {
         const FORMAT: &str = "expected \"crashes,arrivals,edge_deletions\" (e.g. \"2,1,3\")";
         const FIELDS: [&str; 3] = ["crashes", "arrivals", "edge_deletions"];

@@ -18,105 +18,27 @@
 //!    per-strike cost flattens) — the measured shape of *guardrailed*
 //!    graceful degradation, against Global-Star's collapse knee.
 //!
-//! Degradation guardrails enforced on the measured curves: both ladders
-//! monotone non-increasing (up to trial noise), FT-star at least as
-//! available as Global-Star at every rung, and a detected knee on each.
-//!
-//! `NETCON_ADVERSARY_HORIZON` sets the draws per measurement (default
-//! `40_000`); `NETCON_ADVERSARY_TRIALS` overrides the trials per rung
-//! (default rides `NETCON_BENCH_SCALE` like every other target).
+//! Degradation guardrails enforced on the measured curves
+//! ([`sections::adversary_frontier`]; this prints the ladders the perf
+//! record carries): both ladders monotone non-increasing (up to trial
+//! noise), FT-star at least as available as Global-Star at every rung,
+//! and a detected knee on each. Trial counts ride `NETCON_BENCH_SCALE`
+//! like every other target.
 
-use netcon_analysis::knee::{
-    detect_knee, monotone_nonincreasing, periodic_adversary_plan, sweep_availability_vs_rate,
-    RatePoint,
-};
-use netcon_bench::harness::scale;
-use netcon_core::AdversaryPolicy;
-use netcon_protocols::{ft_star, global_star};
-
-/// The strike-rate ladder: expected adversary decisions per draw, from
-/// one strike per 40k draws to one per 1250. (Higher rates only shift
-/// *when* the floor-capped strike budget is spent, not how much damage
-/// lands, so the curves flatten — the ladder stops at the knee's far
-/// side instead of measuring that plateau.)
-const RATES: [f64; 6] = [2.5e-5, 5e-5, 1e-4, 2e-4, 4e-4, 8e-4];
-
-/// Trials per rung: `NETCON_ADVERSARY_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_ADVERSARY_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(12).max(3))
-}
-
-/// Draws per measurement: `NETCON_ADVERSARY_HORIZON`, default 40k.
-fn horizon_from_env() -> u64 {
-    match std::env::var("NETCON_ADVERSARY_HORIZON") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_ADVERSARY_HORIZON {s:?}: {e}")),
-        Err(_) => 40_000,
-    }
-}
-
-fn report(name: &str, points: &[RatePoint]) {
-    println!("{name}:");
-    for p in points {
-        println!(
-            "  rate {:>8.1e}/draw: mean fraction available {:>6.3}",
-            p.rate, p.availability
-        );
-        assert!(
-            (0.0..=1.0).contains(&p.availability),
-            "{name}: fraction {} out of range",
-            p.availability
-        );
-    }
-    match detect_knee(points) {
-        Some(k) => println!(
-            "  knee at rate {:.2e} (slopes {:.2} → {:.2})\n",
-            k.rate, k.left.exponent, k.right.exponent
-        ),
-        None => println!("  no knee (ladder too short)\n"),
-    }
-}
+use netcon_analysis::knee::{detect_knee, monotone_nonincreasing};
+use netcon_bench::sections::{self, ADVERSARY_RATES};
 
 fn main() {
     println!("=== Adversary frontier: availability vs targeted strike rate ===\n");
-    let trials = trials_from_env();
-    let horizon = horizon_from_env();
-    let n = 16;
-    // Repair budget after the stream: generous for FT-star (re-elects in
-    // Θ(n² log n)), finite so frozen Global-Star remnants report
-    // `repair: None` instead of running forever.
-    let max_steps = 400_000;
-    let plan = |rate: f64, seed: u64, _n: usize| {
-        periodic_adversary_plan(rate, seed, horizon, &[AdversaryPolicy::CrashMaxDegree], 8)
-    };
-
-    let ft = sweep_availability_vs_rate(
-        &ft_star::protocol(),
-        n,
-        &RATES,
-        trials,
-        131,
-        plan,
-        ft_star::is_stable_faulted,
-        max_steps,
-    );
-    report("ft-global-star", &ft);
-
-    let plain = sweep_availability_vs_rate(
-        &global_star::protocol(),
-        n,
-        &RATES,
-        trials,
-        137,
-        plan,
-        global_star::is_stable_faulted,
-        max_steps,
-    );
-    report("global-star", &plain);
+    let frontier = sections::adversary_frontier();
+    println!("{}\n", sections::adversary_json(&frontier).render(0));
+    let [(_, ft), (_, plain)] = frontier.curves;
+    for p in ft.iter().chain(&plain) {
+        assert!(
+            (0.0..=1.0).contains(&p.availability),
+            "fraction out of range: {p:?}"
+        );
+    }
 
     // Degradation guardrails: more adversary must never mean more
     // availability, and the notified re-election must dominate the
@@ -139,8 +61,9 @@ fn main() {
         );
     }
     let knee = detect_knee(&ft).expect("6-rung ladder has a knee");
+    let ladder = ADVERSARY_RATES[0]..=ADVERSARY_RATES[ADVERSARY_RATES.len() - 1];
     assert!(
-        knee.rate >= RATES[0] && knee.rate <= RATES[RATES.len() - 1],
+        ladder.contains(&knee.rate),
         "knee inside the ladder: {knee:?}"
     );
     println!("guardrails hold: monotone curves, FT-star dominates, knee detected");

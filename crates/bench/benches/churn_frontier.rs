@@ -4,7 +4,9 @@
 //! draws on which the constructor's output was stable
 //! (`netcon_analysis::availability`).
 //!
-//! Two workloads, the fault-tolerant constructors of arXiv 1903.05992:
+//! Two workloads, the fault-tolerant constructors of arXiv 1903.05992
+//! ([`sections::churn_frontier`]; this prints the rows the perf record
+//! carries):
 //!
 //! 1. *FT-Global-Star* — crash notifications re-mint peripherals as
 //!    centre candidates, so the star re-elects through **any** crash
@@ -15,108 +17,27 @@
 //!    full reconstruction; its lower availability at the same rates is
 //!    the measured price of the waste-based repair.
 //!
-//! `NETCON_CHURN_RATE` sets the symmetric per-draw arrival *and*
-//! departure rate (default `1e-4`); `NETCON_CHURN_TRIALS` overrides the
-//! trial count (default rides `NETCON_BENCH_SCALE` like every other
-//! target).
+//! Trial counts ride `NETCON_BENCH_SCALE` like every other target.
 
-use netcon_analysis::availability::sweep_availability;
-use netcon_analysis::sweep::{SweepConfig, SweepTable};
-use netcon_bench::harness::scale;
-use netcon_core::ChurnPlan;
-use netcon_protocols::{ft_line, ft_star};
-
-/// The symmetric per-draw churn rate from `NETCON_CHURN_RATE`, default
-/// `1e-4` (one arrival *and* one departure expected every 10k draws).
-fn rate_from_env() -> f64 {
-    match std::env::var("NETCON_CHURN_RATE") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_CHURN_RATE {s:?}: {e}")),
-        Err(_) => 1e-4,
-    }
-}
-
-/// Trials per size: `NETCON_CHURN_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_CHURN_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4))
-}
-
-fn report(name: &str, rate: f64, horizon: u64, table: &SweepTable) {
-    println!("{name} (rate {rate:e}/draw each way, horizon {horizon} draws):");
-    for row in &table.rows {
-        println!(
-            "  n={:>4}: mean fraction available {:>6.3} (sd {:>6.3}, min {:>6.3}, {} trials)",
-            row.n,
-            row.summary.mean,
-            row.summary.std_dev,
-            row.summary.min,
-            row.summary.count
-        );
-        for &s in &row.samples {
-            assert!((0.0..=1.0).contains(&s), "{name} n={}: fraction {s}", row.n);
-        }
-    }
-    println!();
-}
+use netcon_bench::sections;
 
 fn main() {
     println!("=== Churn frontier: availability under sustained Poisson churn ===\n");
-    let rate = rate_from_env();
-    let trials = trials_from_env();
-
-    // FT-star converges in Θ(n² log n) draws, so at these sizes the
-    // 60k-draw horizon holds many stable windows between events.
-    let star_horizon = 60_000u64;
-    let star_cfg = SweepConfig {
-        sizes: vec![16, 32],
-        trials,
-        base_seed: 83,
-    };
-    let star_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(8)
-        .horizon(star_horizon);
-    let star = sweep_availability(
-        &star_cfg,
-        &ft_star::protocol(),
-        star_churn,
-        ft_star::is_stable_faulted,
-        u64::MAX,
-    );
-    report("ft-global-star", rate, star_horizon, &star);
-
-    // The line pays Θ(n⁴)-ish reconstruction per restart wave, so it
-    // runs smaller and longer: the horizon still dwarfs a rebuild.
-    let line_horizon = 150_000u64;
-    let line_cfg = SweepConfig {
-        sizes: vec![10, 14],
-        trials,
-        base_seed: 89,
-    };
-    let line_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(5)
-        .horizon(line_horizon);
-    let line = sweep_availability(
-        &line_cfg,
-        &ft_line::protocol(),
-        line_churn,
-        ft_line::is_stable_faulted,
-        u64::MAX,
-    );
-    report("ft-spanning-line", rate, line_horizon, &line);
+    let sweeps = sections::churn_frontier();
+    println!("{}\n", sections::churn_json(&sweeps).render(0));
+    for s in &sweeps {
+        for row in &s.table.rows {
+            let bad = row.samples.iter().find(|f| !(0.0..=1.0).contains(*f));
+            assert!(bad.is_none(), "{} n={}: fraction {bad:?}", s.key, row.n);
+        }
+    }
 
     // The star's notified re-election must beat the line's restart wave
     // at every common scale — that ordering is the section's physical
     // claim, so the bench enforces it on the means.
-    let star_mean = star.rows[0].summary.mean;
-    let line_mean = line.rows.last().expect("line rows").summary.mean;
+    let [star, line] = &sweeps;
+    let star_mean = star.table.rows[0].summary.mean;
+    let line_mean = line.table.rows.last().expect("line rows").summary.mean;
     assert!(
         star_mean >= line_mean,
         "FT-star (n=16 mean {star_mean:.3}) should be at least as available as \

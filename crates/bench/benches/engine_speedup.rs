@@ -12,13 +12,15 @@
 //!    at n = 256, so the tight (≥ 100 ×100 trials) agreement check runs
 //!    at n = 64 and the n = 256 check uses the naive trials available.
 //!
-//! `NETCON_BENCH_SCALE` (percent) shrinks trial counts as usual; the
-//! naive n = 256 trials are capped separately because each costs tens of
-//! seconds.
+//! The n = 256 pair is [`sections::engine_speedup`], the same rows the
+//! perf record carries. `NETCON_BENCH_SCALE` (percent) shrinks trial
+//! counts as usual; the naive n = 256 trials are capped separately
+//! because each costs about a second.
 
 use netcon_bench::harness::scale;
+use netcon_bench::sections;
 use netcon_bench::speedup::compare_engines;
-use netcon_protocols::{fast_global_line, simple_global_line};
+use netcon_protocols::simple_global_line;
 
 fn main() {
     println!("=== Engine speedup: EventSim vs Simulation (same seeds) ===\n");
@@ -69,35 +71,19 @@ fn main() {
         );
     }
 
-    // Acceptance point: n = 256, ≥ 100 event trials; naive trials capped
-    // (each is ~10⁸ steps — ≈ 1 s in release).
-    let naive256 = scale(8).clamp(2, 16);
-    let c256 = compare_engines(
-        &simple_global_line::protocol(),
-        simple_global_line::is_stable,
-        256,
-        scale(200).max(100),
-        naive256,
-        9,
-    );
-    report("Simple-Global-Line", &c256);
+    // Acceptance point: the record's n = 256 head-to-heads (≥ 100
+    // event trials; naive trials capped, each ~10⁸ steps ≈ 1 s).
+    let [(_, simple), (_, fast)] = sections::engine_speedup();
+    report("Simple-Global-Line", &simple);
     assert!(
-        c256.speedup >= 50.0,
+        simple.speedup >= 50.0,
         "event engine speedup {:.1}x below the 50x acceptance bar",
-        c256.speedup
+        simple.speedup
     );
-
-    let cfast = compare_engines(
-        &fast_global_line::protocol(),
-        fast_global_line::is_stable,
-        256,
-        scale(200).max(100),
-        scale(20).clamp(2, 40),
-        9,
-    );
-    report("Fast-Global-Line", &cfast);
+    report("Fast-Global-Line", &fast);
 
     println!("(converged_at distributions are identical by construction; the");
     println!(" residual mean gaps above are sampling noise on the naive side —");
-    println!(" BENCH_PR2.json records the large-sample agreement.)");
+    println!(" the perf record's large_sample_agreement_n256 section holds the");
+    println!(" large-sample agreement.)");
 }

@@ -1,115 +1,31 @@
 //! **Perturbation frontier** — self-repair sweeps over the fault layer:
-//! stabilize, injure with a seeded [`FaultSeverity`] burst, and measure
-//! the steps back to stability (`netcon_analysis::repair`).
+//! stabilize, injure with a seeded burst, and measure the steps back to
+//! stability (`netcon_analysis::repair`).
 //!
-//! Two workloads, chosen for opposite honesty:
+//! Two workloads, chosen for opposite honesty
+//! ([`sections::perturbation_frontier`]; this prints the rows the perf
+//! record carries):
 //!
-//! 1. *Maximum-Matching* under the mixed severity from
-//!    `NETCON_FAULT_SEVERITY` (`"crashes,arrivals,edge_deletions"`,
-//!    default `1,1,1`) — the matching process reconverges under **any**
-//!    mix of damage (widowed partners are terminal, fresh nodes pair
-//!    up), so it is the workload that can absorb whatever the knob says.
+//! 1. *Maximum-Matching* under a mixed `1,1,1` burst — the matching
+//!    process reconverges under **any** mix of damage (widowed partners
+//!    are terminal, fresh nodes pair up).
 //! 2. *Global-Star* under fixed spoke deletions (`0,0,2`) — the paper's
 //!    introduction protocol genuinely self-repairs this damage
 //!    (`(c, p, 0) → (c, p, 1)` re-fires per orphaned peripheral), giving
 //!    a positive repair-time curve with a physical meaning.
 //!
-//! `NETCON_FAULT_TRIALS` overrides the trial count (default rides
-//! `NETCON_BENCH_SCALE` like every other target).
+//! Trial counts ride `NETCON_BENCH_SCALE` like every other target.
 
-use netcon_analysis::repair::{sweep_repair_time, FaultSeverity};
-use netcon_analysis::sweep::{SweepConfig, SweepTable};
-use netcon_bench::harness::scale;
-use netcon_core::{Link, ProtocolBuilder, RuleProtocol};
-use netcon_protocols::global_star;
-
-fn matching_protocol() -> RuleProtocol {
-    let mut b = ProtocolBuilder::new("matching");
-    let a = b.state("a");
-    let m = b.state("b");
-    b.rule((a, a, Link::Off), (m, m, Link::On));
-    b.build().expect("valid")
-}
-
-/// The burst severity from `NETCON_FAULT_SEVERITY`, default `1,1,1`.
-fn severity_from_env() -> FaultSeverity {
-    match std::env::var("NETCON_FAULT_SEVERITY") {
-        Ok(s) => FaultSeverity::parse(&s)
-            .unwrap_or_else(|e| panic!("invalid NETCON_FAULT_SEVERITY: {e}")),
-        Err(_) => FaultSeverity::default(),
-    }
-}
-
-/// Trials per size: `NETCON_FAULT_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_FAULT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4))
-}
-
-fn report(name: &str, severity: FaultSeverity, table: &SweepTable) {
-    println!(
-        "{name} (severity {}c/{}a/{}d):",
-        severity.crashes, severity.arrivals, severity.edge_deletions
-    );
-    for row in &table.rows {
-        println!(
-            "  n={:>4}: mean repair {:>10.1} steps (sd {:>10.1}, median {:>8.1}, max {:>10.0}, {} trials)",
-            row.n,
-            row.summary.mean,
-            row.summary.std_dev,
-            row.summary.median,
-            row.summary.max,
-            row.summary.count
-        );
-    }
-    println!();
-}
+use netcon_bench::sections;
 
 fn main() {
     println!("=== Perturbation frontier: repair-time sweeps over the fault layer ===\n");
-    let trials = trials_from_env();
-    let severity = severity_from_env();
-
-    // Odd sizes on purpose: a stabilized odd-n matching keeps exactly
-    // one unmatched survivor, so the default burst's single arrival has
-    // a partner to find and the repair column is non-degenerate.
-    let cfg = SweepConfig {
-        sizes: vec![25, 49],
-        trials,
-        base_seed: 41,
-    };
-    let matching = sweep_repair_time(
-        &cfg,
-        &matching_protocol(),
-        severity,
-        |v, fs| {
-            (0..v.n())
-                .filter(|&u| fs.is_alive(u) && v.state_index(u) == 0)
-                .count()
-                <= 1
-        },
-        1_000_000_000,
-    );
-    report("maximum-matching", severity, &matching);
-
-    let spokes = FaultSeverity {
-        crashes: 0,
-        arrivals: 0,
-        edge_deletions: 2,
-    };
-    let star = sweep_repair_time(
-        &cfg,
-        &global_star::protocol(),
-        spokes,
-        global_star::is_stable_faulted,
-        1_000_000_000,
-    );
-    report("global-star", spokes, &star);
+    let sweeps = sections::perturbation_frontier();
+    println!("{}\n", sections::repair_json(&sweeps).render(0));
     // The star must actually repair: two deleted spokes re-fire at least
     // two attachment rules, so every trial's repair time is positive.
-    for row in &star.rows {
+    let [_, star] = &sweeps;
+    for row in &star.table.rows {
         assert!(
             row.samples.iter().all(|&r| r > 0.0),
             "global-star must regrow deleted spokes (n={})",

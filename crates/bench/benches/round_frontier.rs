@@ -17,7 +17,9 @@
 //! 3. drives a rounds-to-converge ladder via the
 //!    `netcon_analysis::sweep::sweep_rounds_to_converge` fast path and
 //!    fits the rounds-vs-n power law,
-//! 4. runs a round-denominated sweep at n = 100 000 on the sparse round
+//! 4. prints the perf record's `RoundSim` ladder at n ∈ {256, 512, 1024}
+//!    ([`sections::round_frontier`]),
+//! 5. runs a round-denominated sweep at n = 100 000 on the sparse round
 //!    engine ([`RoundBucketSim`](netcon_core::RoundBucketSim)) through
 //!    the view-predicate path — the size the dense engine's 13n² bytes
 //!    can never touch.
@@ -31,11 +33,9 @@ use netcon_analysis::sweep::{
 };
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale, sweep_rows};
-use netcon_core::seeds::derive2;
-use netcon_core::{
-    CompiledTable, Driver, Engine, EnumerableMachine, Link, ProtocolBuilder, RoundSim,
-    SchedulerKind, ShuffledRounds, Simulation,
-};
+use netcon_bench::sections;
+use netcon_bench::speedup::compare_round_engines;
+use netcon_core::{CompiledTable, Engine, EnumerableMachine, RoundSim, SchedulerKind};
 use netcon_protocols::{cycle_cover, simple_global_line};
 
 fn main() {
@@ -93,60 +93,36 @@ fn main() {
     // naive round-player, mean rounds-to-converge per engine. The means
     // must agree (the engines are distribution-identical); the wall gap
     // is the point of the engine.
-    let n = 64;
-    let trials = scale(20).max(2) as u64;
-    let p = simple_global_line::protocol();
-    let compiled = p.compile();
-    let m = (n as u64) * (n as u64 - 1) / 2;
-
-    let t0 = Instant::now();
-    let mut round_rounds = 0.0f64;
-    for t in 0..trials {
-        let mut sim = RoundSim::new(compiled.clone(), n, derive2(7, n as u64, t));
-        let out = sim.run_until(simple_global_line::is_stable, u64::MAX);
-        round_rounds +=
-            out.converged_at().expect("stabilizes").div_ceil(m) as f64 / trials as f64;
-    }
-    let round_wall = t0.elapsed().as_secs_f64();
-
-    let naive_trials = scale(4).clamp(2, 8) as u64;
-    let t0 = Instant::now();
-    let mut naive_rounds = 0.0f64;
-    for t in 0..naive_trials {
-        let mut sim = Simulation::with_scheduler(
-            p.clone(),
-            n,
-            derive2(7, n as u64, t),
-            ShuffledRounds::new(),
-        );
-        let out = sim.run_until(simple_global_line::is_stable, u64::MAX);
-        naive_rounds +=
-            out.converged_at().expect("stabilizes").div_ceil(m) as f64 / naive_trials as f64;
-    }
-    let naive_wall = t0.elapsed().as_secs_f64();
-
-    let speedup =
-        (naive_wall / naive_trials as f64) / (round_wall / trials as f64).max(1e-12);
+    let c = compare_round_engines(
+        &simple_global_line::protocol(),
+        simple_global_line::is_stable,
+        64,
+        scale(20).max(2),
+        scale(4).clamp(2, 8),
+        7,
+    );
     let mut t = TextTable::new(&["engine", "trials", "mean rounds", "wall/trial"]);
-    t.row(&[
-        "RoundSim",
-        &trials.to_string(),
-        &format!("{round_rounds:.1}"),
-        &format!("{:.4}s", round_wall / trials as f64),
-    ]);
-    t.row(&[
-        "naive ShuffledRounds",
-        &naive_trials.to_string(),
-        &format!("{naive_rounds:.1}"),
-        &format!("{:.4}s", naive_wall / naive_trials as f64),
-    ]);
-    println!("--- Simple-Global-Line n = {n}: RoundSim vs naive ({speedup:.0}x/trial) ---");
+    for (engine, stats, rounds) in [
+        ("RoundSim", c.round, c.round_mean_rounds),
+        ("naive ShuffledRounds", c.naive, c.naive_mean_rounds),
+    ] {
+        t.row(&[
+            engine,
+            &stats.trials.to_string(),
+            &format!("{rounds:.1}"),
+            &format!("{:.4}s", stats.wall_s / stats.trials as f64),
+        ]);
+    }
+    println!("--- Simple-Global-Line n = 64: RoundSim vs naive ({:.0}x/trial) ---", c.speedup);
     println!("{}", t.render());
+    let (round_rounds, naive_rounds) = (c.round_mean_rounds, c.naive_mean_rounds);
     let rel = (round_rounds - naive_rounds).abs() / naive_rounds.max(1.0);
     assert!(
         rel < 0.5,
         "mean rounds diverge: round {round_rounds:.1} vs naive {naive_rounds:.1} \
-         ({rel:.2} relative at {trials}/{naive_trials} trials)"
+         ({rel:.2} relative at {}/{} trials)",
+        c.round.trials,
+        c.naive.trials
     );
 
     // Rounds-to-converge ladder on the analysis fast path.
@@ -182,17 +158,19 @@ fn main() {
         );
     }
 
+    // The record's RoundSim ladder at sizes the naive round-player
+    // would take hours on.
+    let ladder = sections::round_frontier();
+    println!("{}\n", sections::round_frontier_json(&ladder).render(0));
+
     // Frontier round sweep: n = 100 000 on the sparse round engine via
     // the view-predicate path (a dense predicate would materialize a
     // Θ(n²) Population per stability check). Maximum matching finishes
     // within round 1 almost surely under any box schedule, so the
     // measurement doubles as an exactness assertion at frontier scale.
-    let mut b = ProtocolBuilder::new("matching");
-    let a = b.state("a");
-    let m_state = b.state("b");
-    b.rule((a, a, Link::Off), (m_state, m_state, Link::On));
-    let matching = b.build().expect("valid");
-    let ai = matching.compile().state_index(&a);
+    let matching = sections::matching();
+    let compiled = matching.compile();
+    let ai = compiled.state_index(&compiled.state("a").expect("matching has state a"));
     let n_big = 100_000;
     let trials = scale(4).max(1);
     let cfg = SweepConfig {

@@ -1,70 +1,73 @@
 //! Executes every bench target (not just compiles them) and writes
-//! `BENCH_PR10.json`: per-bench wall-clock, the engine speedup records
-//! (uniform *and* ShuffledRounds), per-engine measured memory, the
-//! fault-layer repair-time record (`perturbation_frontier`), the
-//! continuous-churn availability record (`churn_frontier`), the
-//! adaptive-adversary knee record (`adversary_frontier`), and the
-//! frontier ladders — plus an optional regression gate against a
-//! committed baseline. `crates/bench/README.md` documents the JSON
-//! schema, the carry-forward rules, and the `--check` semantics.
+//! `BENCH_PR10.json`: per-bench wall-clock plus every section of
+//! `netcon_bench::sections::SECTIONS` — plus an optional regression gate
+//! against a committed baseline. `crates/bench/README.md` documents the
+//! JSON schema, the carry-forward rules, and the `--check` semantics.
 //!
 //! ```sh
 //! NETCON_BENCH_SCALE=1 cargo run --release -p netcon-bench --bin perf_smoke
 //! NETCON_BENCH_SCALE=1 cargo run --release -p netcon-bench --bin perf_smoke -- \
 //!     --out bench-smoke.json --check BENCH_PR10.json   # CI gate
+//! cargo run --release -p netcon-bench --bin perf_smoke -- --regen mega_frontier
 //! ```
 //!
 //! `NETCON_BENCH_SCALE` (percent) is inherited by the spawned bench
-//! processes and by the in-process engine measurement; CI uses the
-//! minimum (1) so the whole suite stays in smoke-test territory. The
-//! output path defaults to `BENCH_PR10.json` in the workspace root
-//! (`--out <path>` overrides). The `perturbation_frontier`,
-//! `churn_frontier`, and `adversary_frontier` sections are cheap and
-//! always regenerated live; `NETCON_FAULT_SEVERITY` /
-//! `NETCON_FAULT_TRIALS` shape the fault burst, `NETCON_CHURN_RATE` /
-//! `NETCON_CHURN_TRIALS` the churn stream, and
-//! `NETCON_ADVERSARY_TRIALS` / `NETCON_ADVERSARY_HORIZON` the targeted
-//! strike ladder.
-//!
-//! `--check <baseline.json>` compares this run's per-bench wall-clock
-//! against the baseline's `benches` section and exits non-zero when any
-//! target regressed by more than `NETCON_BENCH_TOLERANCE` × (default
-//! 2.5×, small-time floor 0.1 s); the failure message names every
-//! offending target with both wall times, the measured ratio, and the
-//! active tolerance. The gate only fires when the two runs used the same
-//! `bench_scale_pct` — comparing a smoke run against a full-scale record
-//! would be noise.
-//!
-//! Expensive sections are regenerated only on request and carried
-//! forward otherwise: `scaling_frontier` (bucket engine at n ∈
-//! {20k, 50k, 100k}, ~15 min) under `NETCON_FRONTIER=1`,
-//! `round_frontier` (RoundSim ladder up to `NETCON_ROUND_FRONTIER_N`,
-//! default 1024) under `NETCON_ROUND_FRONTIER=1`, `mega_frontier`
-//! (Simple-Global-Line at n = 10⁶ on the batched-endgame path, with
-//! its ≤ 60 s single-core acceptance gate) under
-//! `NETCON_MEGA_FRONTIER=1`, and `large_sample_agreement_n256` under
-//! `NETCON_NAIVE_TRIALS_256=<k>`.
+//! processes and by the in-process sections; CI uses the minimum (1).
+//! The output path defaults to `BENCH_PR10.json` in the workspace root.
+//! Sections run on every invocation except the on-request ones, which
+//! run only when `--regen <section,...>` names them and are otherwise
+//! carried forward from the `--out` file, else from the `--check`
+//! baseline. `--check <baseline.json>` fails the run when a bench
+//! target's wall-clock regressed past 2.5× its baseline (see
+//! `record::check_against_baseline`).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-use netcon_analysis::availability::sweep_availability;
-use netcon_analysis::knee::{detect_knee, periodic_adversary_plan, sweep_availability_vs_rate};
-use netcon_analysis::repair::{sweep_repair_time, FaultSeverity};
-use netcon_analysis::sweep::SweepConfig;
-use netcon_bench::harness::scale;
-use netcon_bench::speedup::{
-    bucket_stats, compare_engines, compare_round_engines, Comparison,
-};
-use netcon_core::{
-    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, Driver, EventSim, Link,
-    ProtocolBuilder, RoundSim, Simulation, SparsePop,
-};
-use netcon_protocols::{
-    cycle_cover, fast_global_line, ft_line, ft_star, global_star, simple_global_line,
-};
+use netcon_bench::harness::scale_pct;
+use netcon_bench::obj;
+use netcon_bench::record::{carry_forward, check_against_baseline, Json};
+use netcon_bench::sections::{parse_regen, SECTIONS};
+
+const USAGE: &str = "usage: perf_smoke [--out <path>] [--check <baseline>] [--regen <section,...>]";
+
+struct Args {
+    out: PathBuf,
+    check: Option<PathBuf>,
+    regen: Vec<&'static str>,
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut out = None;
+    let mut check = None;
+    let mut regen = Vec::new();
+    while let Some(a) = args.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
+            None => (a.clone(), None),
+        };
+        // Refuse anything unknown rather than silently overwrite the
+        // committed baseline on a typo.
+        if !matches!(flag.as_str(), "--out" | "--check" | "--regen") {
+            return Err(format!("unrecognized argument {a:?}"));
+        }
+        let value = inline
+            .or_else(|| args.next())
+            .ok_or_else(|| format!("{flag} requires a value"))?;
+        match flag.as_str() {
+            "--out" => out = Some(PathBuf::from(value)),
+            "--check" => check = Some(PathBuf::from(value)),
+            _ => regen.extend(parse_regen(&value)?),
+        }
+    }
+    Ok(Args {
+        out: out
+            .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")),
+        check,
+        regen,
+    })
+}
 
 fn bench_targets(bench_dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(bench_dir)
@@ -78,673 +81,9 @@ fn bench_targets(bench_dir: &Path) -> Vec<String> {
     names
 }
 
-/// Extracts a top-level `"key": { … }` object (key line through its
-/// matching closing brace, no trailing comma/newline) from an existing
-/// output file, so cheap re-runs preserve expensive records.
-///
-/// The needle is anchored to the section's own line (`\n  "key": {`):
-/// a bench *target* of the same name appears earlier in the file as
-/// `{ "name": "key", … }` inside the `benches` array, and an unanchored
-/// search used to latch onto that row and carry forward garbage.
-fn carry_forward_section(out_path: &Path, key: &str) -> Option<String> {
-    let old = std::fs::read_to_string(out_path).ok()?;
-    let needle = format!("\n  \"{key}\": {{");
-    let start = old.find(&needle)? + 1;
-    let brace = start + old[start..].find('{')?;
-    let mut depth = 0usize;
-    for (i, ch) in old[brace..].char_indices() {
-        match ch {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(old[start..=brace + i].to_owned());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Parses the `benches` array of a perf_smoke JSON (our own format: one
-/// `{ "name": …, "wall_s": … }` object per line) plus its
-/// `bench_scale_pct`.
-fn parse_baseline(text: &str) -> (Option<String>, Vec<(String, f64)>) {
-    let scale_pct = text
-        .find("\"bench_scale_pct\"")
-        .and_then(|i| text[i..].split('"').nth(3).map(str::to_owned));
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let Some(ni) = line.find("\"name\": \"") else { continue };
-        let rest = &line[ni + 9..];
-        let Some(name) = rest.split('"').next() else { continue };
-        let Some(wi) = line.find("\"wall_s\": ") else { continue };
-        let wall: f64 = line[wi + 10..]
-            .trim_end_matches(|c: char| c == '}' || c == ',' || c.is_whitespace())
-            .parse()
-            .unwrap_or(f64::NAN);
-        if wall.is_finite() {
-            rows.push((name.to_owned(), wall));
-        }
-    }
-    (scale_pct, rows)
-}
-
-/// The regression gate: every target present in both runs must stay
-/// within `tolerance ×` of the baseline (with a 0.1 s floor so
-/// micro-targets cannot flake the gate on scheduler noise).
-fn check_against_baseline(
-    baseline_path: &Path,
-    current_scale: &str,
-    rows: &[(String, f64)],
-) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let (base_scale, baseline) = parse_baseline(&text);
-    let base_scale = base_scale.unwrap_or_default();
-    if base_scale != current_scale {
-        println!(
-            "--check: baseline scale {base_scale}% != current {current_scale}%; \
-             gate skipped (regenerate the baseline at the matching scale)"
-        );
-        return Ok(());
-    }
-    let tolerance: f64 = std::env::var("NETCON_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.5);
-    let mut failures = Vec::new();
-    println!("\n--check against {} (tolerance {tolerance}x):", baseline_path.display());
-    for (name, wall) in rows {
-        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
-            println!("  {name:<24} {wall:>8.3}s (new target, no baseline)");
-            continue;
-        };
-        let floor = base.max(0.1);
-        let ratio = wall / floor;
-        let verdict = if *wall > tolerance * floor { "REGRESSED" } else { "ok" };
-        println!("  {name:<24} {wall:>8.3}s vs {base:>8.3}s ({ratio:>5.2}x) {verdict}");
-        if *wall > tolerance * floor {
-            failures.push(format!(
-                "{name}: current {wall:.3}s vs baseline {base:.3}s \
-                 ({ratio:.2}x, tolerance {tolerance}x over max(baseline, 0.1s))"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} target(s) regressed beyond {tolerance}x:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ))
-    }
-}
-
-fn json_engine(out: &mut String, key: &str, c: &Comparison) {
-    let _ = write!(
-        out,
-        "    \"{key}\": {{\n      \"n\": {},\n      \"event_trials\": {},\n      \"event_mean_converged_at\": {:.1},\n      \"event_mean_total_steps\": {:.1},\n      \"event_mean_effective_steps\": {:.1},\n      \"event_wall_s\": {:.4},\n      \"naive_trials\": {},\n      \"naive_mean_converged_at\": {:.1},\n      \"naive_wall_s\": {:.4},\n      \"speedup_per_trial\": {:.1},\n      \"mean_rel_diff\": {:.4}\n    }}",
-        c.n,
-        c.event.trials,
-        c.event.mean_converged,
-        c.event.mean_steps,
-        c.event.mean_effective,
-        c.event.wall_s,
-        c.naive.trials,
-        c.naive.mean_converged,
-        c.naive.wall_s,
-        c.speedup,
-        c.mean_rel_diff,
-    );
-}
-
-/// Constructed-engine memory at a ladder of sizes: the measured
-/// Θ(n²)-vs-O(n) record (`approx_mem_bytes`, not an estimate). Engines
-/// whose construction would not fit the CI box are reported as `null`.
-fn engine_memory_section() -> String {
-    let protocol = simple_global_line::protocol();
-    let compiled = protocol.compile();
-    let mut s = String::from("  \"engine_memory_bytes\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"approx_mem_bytes of freshly constructed engines, Simple-Global-Line; null = dense structures would not fit the CI box\","
-    );
-    s.push_str("    \"rows\": [\n");
-    let sizes = [256usize, 2_000, 8_000, 20_000, 100_000];
-    for (i, &n) in sizes.iter().enumerate() {
-        let naive = if n <= 20_000 {
-            format!("{}", Simulation::new(protocol.clone(), n, 1).approx_mem_bytes())
-        } else {
-            "null".into()
-        };
-        let event = if n <= 8_000 {
-            format!("{}", EventSim::new(compiled.clone(), n, 1).approx_mem_bytes())
-        } else {
-            "null".into()
-        };
-        let bucket = BucketSim::new(compiled.clone(), n, 1).approx_mem_bytes();
-        let event_estimate = EventSim::<CompiledTable>::dense_mem_estimate(n);
-        let comma = if i + 1 < sizes.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{ \"n\": {n}, \"naive\": {naive}, \"event\": {event}, \"event_estimate\": {event_estimate}, \"bucket\": {bucket} }}{comma}"
-        );
-    }
-    s.push_str("    ]\n  }");
-    s
-}
-
-/// The bucket engine's head-to-head record at n = 256 (its overhead
-/// regime: small n, where the dense engine is fastest), with the
-/// measured memory column.
-fn bucket_engine_section(scale_trials: usize) -> String {
-    let mut s = String::from("  \"bucket_engine\": {\n");
-    let mut first = true;
-    for (key, protocol, sparse) in [
-        (
-            "simple_global_line_n256",
-            simple_global_line::protocol(),
-            simple_global_line::is_stable_sparse as fn(&SparsePop) -> bool,
-        ),
-        (
-            "cycle_cover_n256",
-            cycle_cover::protocol(),
-            cycle_cover::is_stable_sparse as fn(&SparsePop) -> bool,
-        ),
-    ] {
-        let (stats, mem) = bucket_stats(&protocol, sparse, 256, scale_trials, 9);
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            s,
-            "    \"{key}\": {{\n      \"n\": 256,\n      \"trials\": {},\n      \"mean_converged_at\": {:.1},\n      \"mean_effective_steps\": {:.1},\n      \"wall_s\": {:.4},\n      \"approx_mem_bytes\": {}\n    }}",
-            stats.trials, stats.mean_converged, stats.mean_effective, stats.wall_s, mem
-        );
-    }
-    s.push_str("\n  }");
-    s
-}
-
-/// The ShuffledRounds head-to-head record at n = 256: `RoundSim` vs the
-/// naive round-playing loop on Simple-Global-Line, with convergence in
-/// draws and rounds — the speedup-over-naive-ShuffledRounds acceptance
-/// record.
-fn round_engine_section(round_trials: usize, naive_trials: usize) -> (String, f64) {
-    let c = compare_round_engines(
-        &simple_global_line::protocol(),
-        simple_global_line::is_stable,
-        256,
-        round_trials,
-        naive_trials,
-        9,
-    );
-    let mut s = String::from("  \"round_engine\": {\n");
-    let _ = write!(
-        s,
-        "    \"simple_global_line_n256\": {{\n      \"n\": {},\n      \"scheduler\": \"shuffled-rounds\",\n      \"round_trials\": {},\n      \"round_mean_converged_at\": {:.1},\n      \"round_mean_rounds\": {:.1},\n      \"round_mean_effective_steps\": {:.1},\n      \"round_wall_s\": {:.4},\n      \"naive_trials\": {},\n      \"naive_mean_converged_at\": {:.1},\n      \"naive_mean_rounds\": {:.1},\n      \"naive_wall_s\": {:.4},\n      \"speedup_per_trial\": {:.1},\n      \"mean_rel_diff\": {:.4}\n    }}\n  }}",
-        c.n,
-        c.round.trials,
-        c.round.mean_converged,
-        c.round_mean_rounds,
-        c.round.mean_effective,
-        c.round.wall_s,
-        c.naive.trials,
-        c.naive.mean_converged,
-        c.naive_mean_rounds,
-        c.naive.wall_s,
-        c.speedup,
-        c.mean_rel_diff,
-    );
-    (s, c.speedup)
-}
-
-/// The round-frontier record: `RoundSim` alone at a doubling ladder of
-/// sizes up to `NETCON_ROUND_FRONTIER_N` (default 1024) — sizes whose
-/// naive round-player would take hours. Only under
-/// `NETCON_ROUND_FRONTIER=1`.
-fn round_frontier_section() -> String {
-    // The ladder always includes its n = 256 base rung, so smaller caps
-    // are clamped up — and the recorded note states the effective cap.
-    let cap: usize = std::env::var("NETCON_ROUND_FRONTIER_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
-        .max(256);
-    let protocol = simple_global_line::protocol().compile();
-    let mut s = String::from("  \"round_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"regenerate with NETCON_ROUND_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (ladder cap NETCON_ROUND_FRONTIER_N={cap}); runs without that variable carry this section forward\","
-    );
-    let _ = writeln!(s, "    \"simple_global_line\": [");
-    let sizes: Vec<usize> = std::iter::successors(Some(256usize), |&n| Some(n * 2))
-        .take_while(|&n| n <= cap)
-        .collect();
-    for (i, &n) in sizes.iter().enumerate() {
-        println!("==> round frontier: simple_global_line n = {n} (RoundSim)");
-        let m = (n as u64) * (n as u64 - 1) / 2;
-        let t0 = Instant::now();
-        let mut sim = RoundSim::new(protocol.clone(), n, 2014 + n as u64);
-        let out = sim.run_until(simple_global_line::is_stable, u64::MAX);
-        let wall = t0.elapsed().as_secs_f64();
-        let converged = out
-            .converged_at()
-            .unwrap_or_else(|| panic!("simple_global_line did not stabilize at n={n}"));
-        let comma = if i + 1 < sizes.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{ \"n\": {n}, \"engine\": \"round-dense\", \"converged_at\": {converged}, \"converged_rounds\": {}, \"effective_steps\": {}, \"wall_s\": {wall:.2}, \"approx_mem_bytes\": {} }}{comma}",
-            converged.div_ceil(m),
-            sim.effective_steps(),
-            sim.approx_mem_bytes(),
-        );
-    }
-    s.push_str("    ]\n  }");
-    s
-}
-
-/// The fault-layer repair-time record: [`sweep_repair_time`] on the two
-/// canonical self-repair workloads (matching under the
-/// `NETCON_FAULT_SEVERITY` mixed burst, Global-Star under fixed spoke
-/// deletions — the same pair the `perturbation_frontier` bench target
-/// prints). Cheap at these sizes, so it regenerates live on every run,
-/// including CI's scale-1 smoke: the fault layer has no carried-forward
-/// blind spot. `NETCON_FAULT_TRIALS` overrides the trial count.
-fn perturbation_frontier_section() -> String {
-    let severity = match std::env::var("NETCON_FAULT_SEVERITY") {
-        Ok(s) => FaultSeverity::parse(&s)
-            .unwrap_or_else(|e| panic!("invalid NETCON_FAULT_SEVERITY: {e}")),
-        Err(_) => FaultSeverity::default(),
-    };
-    let trials = std::env::var("NETCON_FAULT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4));
-    // Odd sizes: the stabilized odd-n matching keeps one unmatched
-    // survivor, so the default burst's single arrival has a partner and
-    // the repair column is non-degenerate (see the bench target).
-    let cfg = SweepConfig {
-        sizes: vec![25, 49],
-        trials,
-        base_seed: 41,
-    };
-
-    let matching = {
-        let mut b = ProtocolBuilder::new("matching");
-        let a = b.state("a");
-        let m = b.state("b");
-        b.rule((a, a, Link::Off), (m, m, Link::On));
-        b.build().expect("valid")
-    };
-    let matching_table = sweep_repair_time(
-        &cfg,
-        &matching,
-        severity,
-        |v, fs| {
-            (0..v.n())
-                .filter(|&u| fs.is_alive(u) && v.state_index(u) == 0)
-                .count()
-                <= 1
-        },
-        1_000_000_000,
-    );
-    let spokes = FaultSeverity {
-        crashes: 0,
-        arrivals: 0,
-        edge_deletions: 2,
-    };
-    let star_table = sweep_repair_time(
-        &cfg,
-        &global_star::protocol(),
-        spokes,
-        global_star::is_stable_faulted,
-        1_000_000_000,
-    );
-
-    let mut s = String::from("  \"perturbation_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"mean steps from a seeded fault burst back to stability (netcon_analysis::repair); regenerated live on every run — NETCON_FAULT_SEVERITY and NETCON_FAULT_TRIALS shape it\","
-    );
-    let mut first = true;
-    for (key, sev, table) in [
-        ("maximum_matching", severity, &matching_table),
-        ("global_star_spokes", spokes, &star_table),
-    ] {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let _ = writeln!(
-            s,
-            "    \"{key}\": {{\n      \"severity\": \"{},{},{}\",\n      \"trials\": {trials},\n      \"rows\": [",
-            sev.crashes, sev.arrivals, sev.edge_deletions
-        );
-        for (i, row) in table.rows.iter().enumerate() {
-            let comma = if i + 1 < table.rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{ \"n\": {}, \"mean_repair_steps\": {:.1}, \"sd\": {:.1}, \"median\": {:.1}, \"max\": {:.0} }}{comma}",
-                row.n, row.summary.mean, row.summary.std_dev, row.summary.median, row.summary.max
-            );
-        }
-        let _ = write!(s, "      ]\n    }}");
-    }
-    s.push_str("\n  }");
-    s
-}
-
-/// The continuous-churn availability record:
-/// [`sweep_availability`] on the two fault-tolerant constructors (the
-/// same pair the `churn_frontier` bench target prints): FT-Global-Star
-/// re-electing through crashes, FT-Spanning-Line paying a restart wave
-/// per crash. Cheap at these sizes, so it regenerates live on every
-/// run, including CI's scale-1 smoke. `NETCON_CHURN_RATE` sets the
-/// symmetric per-draw rate (default `1e-4`); `NETCON_CHURN_TRIALS`
-/// overrides the trial count.
-fn churn_frontier_section() -> String {
-    let rate: f64 = match std::env::var("NETCON_CHURN_RATE") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_CHURN_RATE {s:?}: {e}")),
-        Err(_) => 1e-4,
-    };
-    let trials = std::env::var("NETCON_CHURN_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4));
-
-    // Same shapes as the bench target: the star converges fast enough
-    // for many stable windows at a 60k horizon; the line runs smaller
-    // and longer because every crash costs a restart-wave rebuild.
-    let star_cfg = SweepConfig {
-        sizes: vec![16, 32],
-        trials,
-        base_seed: 83,
-    };
-    let star_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(8)
-        .horizon(60_000);
-    let star = sweep_availability(
-        &star_cfg,
-        &ft_star::protocol(),
-        star_churn,
-        ft_star::is_stable_faulted,
-        u64::MAX,
-    );
-    let line_cfg = SweepConfig {
-        sizes: vec![10, 14],
-        trials,
-        base_seed: 89,
-    };
-    let line_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(5)
-        .horizon(150_000);
-    let line = sweep_availability(
-        &line_cfg,
-        &ft_line::protocol(),
-        line_churn,
-        ft_line::is_stable_faulted,
-        u64::MAX,
-    );
-
-    let mut s = String::from("  \"churn_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"mean fraction of draws with a stable output under sustained Poisson churn (netcon_analysis::availability); regenerated live on every run — NETCON_CHURN_RATE and NETCON_CHURN_TRIALS shape it\","
-    );
-    let mut first = true;
-    for (key, horizon, table) in [
-        ("ft_global_star", 60_000u64, &star),
-        ("ft_spanning_line", 150_000u64, &line),
-    ] {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let _ = writeln!(
-            s,
-            "    \"{key}\": {{\n      \"rate_per_draw_each_way\": {rate:e},\n      \"horizon_draws\": {horizon},\n      \"trials\": {trials},\n      \"rows\": [",
-        );
-        for (i, row) in table.rows.iter().enumerate() {
-            let comma = if i + 1 < table.rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{ \"n\": {}, \"mean_fraction_available\": {:.4}, \"sd\": {:.4}, \"min\": {:.4} }}{comma}",
-                row.n, row.summary.mean, row.summary.std_dev, row.summary.min
-            );
-        }
-        let _ = write!(s, "      ]\n    }}");
-    }
-    s.push_str("\n  }");
-    s
-}
-
-/// The adaptive-adversary knee record:
-/// [`sweep_availability_vs_rate`] ladders for Global-Star vs
-/// FT-Global-Star under the targeted `CrashMaxDegree` cadence (the same
-/// pair, ladder, and seeds the `adversary_frontier` bench target
-/// asserts its guardrails on), with the two-segment log–log knee of
-/// each curve. Cheap at these sizes, so it regenerates live on every
-/// run, including CI's scale-1 smoke. `NETCON_ADVERSARY_TRIALS`
-/// overrides the trials per rung, `NETCON_ADVERSARY_HORIZON` the draws
-/// per measurement (default 40k).
-fn adversary_frontier_section() -> String {
-    let rates = [2.5e-5, 5e-5, 1e-4, 2e-4, 4e-4, 8e-4];
-    let trials = std::env::var("NETCON_ADVERSARY_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(12).max(3));
-    let horizon: u64 = match std::env::var("NETCON_ADVERSARY_HORIZON") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_ADVERSARY_HORIZON {s:?}: {e}")),
-        Err(_) => 40_000,
-    };
-    let (n, min_alive, max_steps) = (16usize, 8usize, 400_000u64);
-    let plan = |rate: f64, seed: u64, _n: usize| {
-        periodic_adversary_plan(rate, seed, horizon, &[AdversaryPolicy::CrashMaxDegree], min_alive)
-    };
-    let ft = sweep_availability_vs_rate(
-        &ft_star::protocol(),
-        n,
-        &rates,
-        trials,
-        131,
-        plan,
-        ft_star::is_stable_faulted,
-        max_steps,
-    );
-    let plain = sweep_availability_vs_rate(
-        &global_star::protocol(),
-        n,
-        &rates,
-        trials,
-        137,
-        plan,
-        global_star::is_stable_faulted,
-        max_steps,
-    );
-
-    let mut s = String::from("  \"adversary_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"mean fraction of draws with a stable output under the adaptive CrashMaxDegree cadence, vs strike rate (netcon_analysis::knee); regenerated live on every run — NETCON_ADVERSARY_TRIALS and NETCON_ADVERSARY_HORIZON shape it\","
-    );
-    let _ = writeln!(s, "    \"policy\": \"crash-max-degree\",");
-    let _ = writeln!(
-        s,
-        "    \"n\": {n},\n    \"min_alive\": {min_alive},\n    \"horizon_draws\": {horizon},\n    \"trials\": {trials},"
-    );
-    let mut first = true;
-    for (key, curve) in [("ft_global_star", &ft), ("global_star", &plain)] {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let _ = writeln!(s, "    \"{key}\": {{\n      \"rows\": [");
-        for (i, p) in curve.iter().enumerate() {
-            let comma = if i + 1 < curve.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{ \"rate_per_draw\": {:e}, \"mean_fraction_available\": {:.4} }}{comma}",
-                p.rate, p.availability
-            );
-        }
-        s.push_str("      ],\n");
-        match detect_knee(curve) {
-            Some(k) => {
-                let _ = writeln!(
-                    s,
-                    "      \"knee\": {{ \"rate_per_draw\": {:e}, \"left_exponent\": {:.3}, \"right_exponent\": {:.3} }}",
-                    k.rate, k.left.exponent, k.right.exponent
-                );
-            }
-            None => {
-                let _ = writeln!(s, "      \"knee\": null");
-            }
-        }
-        let _ = write!(s, "    }}");
-    }
-    s.push_str("\n  }");
-    s
-}
-
-/// The frontier record: bucket-engine runs at n ∈ {20k, 50k, 100k}.
-/// ~15 minutes of single-core work — only under `NETCON_FRONTIER=1`.
-fn scaling_frontier_section() -> String {
-    let mut s = String::from("  \"scaling_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"regenerate with NETCON_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (~15 min); runs without that variable carry this section forward\","
-    );
-    let mut first = true;
-    for (key, protocol, sparse) in [
-        (
-            "simple_global_line",
-            simple_global_line::protocol(),
-            simple_global_line::is_stable_sparse as fn(&SparsePop) -> bool,
-        ),
-        (
-            "cycle_cover",
-            cycle_cover::protocol(),
-            cycle_cover::is_stable_sparse as fn(&SparsePop) -> bool,
-        ),
-    ] {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let _ = writeln!(s, "    \"{key}\": [");
-        let compiled = protocol.compile();
-        for (i, n) in [20_000usize, 50_000, 100_000].into_iter().enumerate() {
-            println!("==> frontier: {key} n = {n} (bucket engine)");
-            let t0 = Instant::now();
-            let mut sim = BucketSim::new(compiled.clone(), n, 2014 + n as u64);
-            let out = sim.run_until(sparse, u64::MAX);
-            let wall = t0.elapsed().as_secs_f64();
-            let converged = out
-                .converged_at()
-                .unwrap_or_else(|| panic!("{key} did not stabilize at n={n}"));
-            let mem = sim.approx_mem_bytes();
-            assert!(mem < 100 << 20, "{key} n={n}: {mem} bytes >= 100 MB");
-            let comma = if i < 2 { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "      {{ \"n\": {n}, \"engine\": \"bucket-sparse\", \"converged_at\": {converged}, \"effective_steps\": {}, \"wall_s\": {wall:.2}, \"approx_mem_bytes\": {mem}, \"event_mem_estimate_bytes\": {} }}{comma}",
-                sim.effective_steps(),
-                EventSim::<CompiledTable>::dense_mem_estimate(n),
-            );
-        }
-        let _ = write!(s, "    ]");
-    }
-    s.push_str("\n  }");
-    s
-}
-
-/// The million-node record: Simple-Global-Line at n = 10⁶ on the
-/// bucket engine's batched-endgame path, with the frontier acceptance
-/// gate asserted inline (≤ 60 s on one core). One serial run — the
-/// bench box is single-core, and a gate racing other work would read
-/// 10–60× slow — and only under `NETCON_MEGA_FRONTIER=1`.
-fn mega_frontier_section() -> String {
-    let n = 1_000_000usize;
-    let compiled = simple_global_line::protocol().compile();
-    let mut s = String::from("  \"mega_frontier\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"note\": \"regenerate with NETCON_MEGA_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (one serial run, ~30 s; keep the box otherwise idle); runs without that variable carry this section forward\","
-    );
-    let _ = writeln!(s, "    \"gate\": \"wall_s <= 60 on one core\",");
-    println!("==> mega frontier: simple_global_line n = {n} (bucket engine, batched endgame)");
-    let t0 = Instant::now();
-    let mut sim = BucketSim::new(compiled, n, 2014 + n as u64);
-    // `run_until_edges`, not `run_until`: the edge-count predicate only
-    // changes when an edge does, and that is the entry point where the
-    // batched endgame engages (per-effective-step predicates cannot
-    // batch — whole walker excursions would skip their evaluation
-    // points, turning the last few walkers back into ~10¹¹ drawn
-    // events and the 20 s record into minutes).
-    let out = sim.run_until_edges(simple_global_line::is_stable_sparse, u64::MAX);
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(
-        out.stabilized(),
-        "simple_global_line did not stabilize at n={n}"
-    );
-    assert!(
-        wall <= 60.0,
-        "mega frontier gate: Simple-Global-Line n={n} took {wall:.1}s (> 60 s)"
-    );
-    // `converged_at()` saturates at u64::MAX here (~10¹⁹ sequential
-    // draws); the wide counter holds the exact count.
-    let _ = writeln!(
-        s,
-        "    \"simple_global_line\": [\n      {{ \"n\": {n}, \"engine\": \"bucket-sparse\", \"converged_at\": {}, \"effective_steps\": {}, \"wall_s\": {wall:.2}, \"approx_mem_bytes\": {} }}\n    ]",
-        sim.steps_wide(),
-        sim.effective_steps_wide(),
-        sim.approx_mem_bytes(),
-    );
-    s.push_str("  }");
-    s
-}
-
 fn main() {
-    let (out_path, check_path) = {
-        let mut args = std::env::args().skip(1);
-        let mut out: Option<PathBuf> = None;
-        let mut check: Option<PathBuf> = None;
-        while let Some(a) = args.next() {
-            if a == "--out" {
-                out = Some(PathBuf::from(args.next().expect("--out requires a path")));
-            } else if let Some(p) = a.strip_prefix("--out=") {
-                out = Some(PathBuf::from(p));
-            } else if a == "--check" {
-                check = Some(PathBuf::from(args.next().expect("--check requires a path")));
-            } else if let Some(p) = a.strip_prefix("--check=") {
-                check = Some(PathBuf::from(p));
-            } else {
-                // Refuse rather than silently overwrite the committed
-                // baseline on a typo.
-                panic!("unrecognized argument {a:?}; usage: perf_smoke [--out <path>] [--check <baseline>]");
-            }
-        }
-        (
-            out.unwrap_or_else(|| {
-                Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")
-            }),
-            check,
-        )
-    };
-    let scale_pct = std::env::var("NETCON_BENCH_SCALE").unwrap_or_else(|_| "100".into());
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}; {USAGE}"));
+    let scale_pct = scale_pct().to_string();
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let bench_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
 
@@ -770,173 +109,44 @@ fn main() {
         rows.push((name, wall));
     }
 
-    // Engine record for the line constructors: event side at ≥ 100
-    // trials, naive side capped (~1 s per trial for Simple at n = 256).
-    // The `engine_speedup` bench target above already ran the same
-    // comparison to *assert* the ≥ 50× acceptance bar; this re-measures
-    // in-process so the JSON carries first-party numbers — the ~20 s of
-    // duplication is accepted for the independence of gate and record.
-    println!("==> engine comparison (n = 256 line constructors)");
-    let simple = compare_engines(
-        &simple_global_line::protocol(),
-        simple_global_line::is_stable,
-        256,
-        scale(200).max(100),
-        scale(8).clamp(2, 16),
-        9,
-    );
-    let fast = compare_engines(
-        &fast_global_line::protocol(),
-        fast_global_line::is_stable,
-        256,
-        scale(200).max(100),
-        scale(20).clamp(2, 40),
-        9,
-    );
-
-    println!("==> engine memory ladder + bucket engine record");
-    let memory_section = engine_memory_section();
-    let bucket_section = bucket_engine_section(scale(200).max(100));
-
-    // The naive floor is 8 trials (~0.8 s each): converged_at's ~70%
-    // relative sd would otherwise turn the record's mean_rel_diff into
-    // pure small-sample noise.
-    println!("==> round engine comparison (n = 256, ShuffledRounds)");
-    let (round_section, round_speedup) =
-        round_engine_section(scale(100).max(50), scale(16).clamp(8, 24));
-
-    // Expensive sections carry forward from the output file, or — when
-    // writing somewhere fresh, as CI's bench-smoke does — from the
-    // --check baseline, so the uploaded artifact keeps the records.
-    let carry = |key: &str| {
-        carry_forward_section(&out_path, key)
-            .or_else(|| check_path.as_deref().and_then(|p| carry_forward_section(p, key)))
+    // Read before writing: `--out` may name the file being carried from.
+    let earlier: Vec<String> = [Some(&args.out), args.check.as_ref()]
+        .into_iter()
+        .flatten()
+        .filter_map(|p| std::fs::read_to_string(p).ok())
+        .collect();
+    let benches = rows.iter().map(|(name, wall)| {
+        obj! { "name": name.as_str(), "wall_s": Json::Fixed(*wall, 3) }
+    });
+    let sections = SECTIONS.iter().filter_map(|s| {
+        let section = if !s.on_request || args.regen.contains(&s.name) {
+            println!("==> section {}", s.name);
+            Some((s.record)())
+        } else {
+            earlier
+                .iter()
+                .find_map(|text| carry_forward(text, s.name))
+                .map(Json::Raw)
+        };
+        section.map(|v| (s.name, v))
+    });
+    let record = obj! {
+        "pr": 10u32,
+        "bench_scale_pct": scale_pct.as_str(),
+        "benches": Json::Arr(benches.collect()),
     };
-    let frontier = if std::env::var("NETCON_FRONTIER").is_ok_and(|v| v == "1") {
-        Some(scaling_frontier_section())
-    } else {
-        carry("scaling_frontier")
-    };
-    let round_frontier = if std::env::var("NETCON_ROUND_FRONTIER").is_ok_and(|v| v == "1") {
-        Some(round_frontier_section())
-    } else {
-        carry("round_frontier")
-    };
-    let mega_frontier = if std::env::var("NETCON_MEGA_FRONTIER").is_ok_and(|v| v == "1") {
-        Some(mega_frontier_section())
-    } else {
-        carry("mega_frontier")
-    };
-
-    // Large-sample mean-agreement record. `NETCON_NAIVE_TRIALS_256=<k>`
-    // (k ≥ 100; ≈ 25 min at 1000) regenerates it; otherwise any section
-    // already present in the output file is carried forward, so quick
-    // re-runs don't destroy the expensive record.
-    let ref_trials: usize = std::env::var("NETCON_NAIVE_TRIALS_256")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let large_sample = if ref_trials >= 100 {
-        println!("==> large-sample agreement ({ref_trials} naive trials at n = 256)");
-        let ls = compare_engines(
-            &simple_global_line::protocol(),
-            simple_global_line::is_stable,
-            256,
-            2_000,
-            ref_trials,
-            9,
-        );
-        // Fast-Global-Line's converged_at variance is ~50× smaller, so
-        // 400 naive trials already put the standard error near 0.1%.
-        let lf = compare_engines(
-            &fast_global_line::protocol(),
-            fast_global_line::is_stable,
-            256,
-            2_000,
-            ref_trials.min(400),
-            9,
-        );
-        let mut s = String::new();
-        s.push_str("  \"large_sample_agreement_n256\": {\n");
-        let _ = writeln!(
-            s,
-            "    \"note\": \"regenerate with NETCON_NAIVE_TRIALS_256={ref_trials} cargo run --release -p netcon-bench --bin perf_smoke; runs without that variable carry this section forward\","
-        );
-        json_engine(&mut s, "simple_global_line", &ls);
-        s.push_str(",\n");
-        json_engine(&mut s, "fast_global_line", &lf);
-        s.push_str("\n  }");
-        Some(s)
-    } else {
-        carry("large_sample_agreement_n256")
-    };
-
-    println!("==> perturbation frontier (fault-layer repair sweeps)");
-    let perturbation_section = perturbation_frontier_section();
-
-    println!("==> churn frontier (availability under sustained Poisson churn)");
-    let churn_section = churn_frontier_section();
-
-    println!("==> adversary frontier (availability vs targeted strike rate)");
-    let adversary_section = adversary_frontier_section();
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"pr\": 10,");
-    let _ = writeln!(json, "  \"bench_scale_pct\": \"{scale_pct}\",");
-    json.push_str("  \"benches\": [\n");
-    for (i, (name, wall)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"name\": \"{name}\", \"wall_s\": {wall:.3} }}{comma}"
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"engine_speedup\": {\n");
-    json_engine(&mut json, "simple_global_line_n256", &simple);
-    json.push_str(",\n");
-    json_engine(&mut json, "fast_global_line_n256", &fast);
-    json.push_str("\n  },\n");
-    json.push_str(&memory_section);
-    json.push_str(",\n");
-    json.push_str(&bucket_section);
-    json.push_str(",\n");
-    json.push_str(&round_section);
-    json.push_str(",\n");
-    json.push_str(&perturbation_section);
-    json.push_str(",\n");
-    json.push_str(&churn_section);
-    json.push_str(",\n");
-    json.push_str(&adversary_section);
-    if let Some(section) = frontier {
-        json.push_str(",\n");
-        json.push_str(&section);
-    }
-    if let Some(section) = round_frontier {
-        json.push_str(",\n");
-        json.push_str(&section);
-    }
-    if let Some(section) = mega_frontier {
-        json.push_str(",\n");
-        json.push_str(&section);
-    }
-    if let Some(section) = large_sample {
-        json.push_str(",\n");
-        json.push_str(&section);
-    }
-    json.push_str("\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write the bench record JSON");
+    let json = record.with(sections).render(0) + "\n";
+    std::fs::write(&args.out, json).expect("write the bench record JSON");
     println!(
-        "\nwrote {} ({} bench targets; SGL n=256 uniform-event speedup {:.0}x, round-engine speedup {:.0}x)",
-        out_path.display(),
-        rows.len(),
-        simple.speedup,
-        round_speedup,
+        "\nwrote {} ({} bench targets)",
+        args.out.display(),
+        rows.len()
     );
 
-    if let Some(baseline) = check_path {
+    if let Some(path) = args.check {
+        let baseline = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
+        println!("\nbaseline: {}", path.display());
         if let Err(msg) = check_against_baseline(&baseline, &scale_pct, &rows) {
             eprintln!("\nREGRESSION GATE FAILED\n{msg}");
             std::process::exit(1);

@@ -35,13 +35,19 @@ pub fn fits(table: &SweepTable) -> (PowerLawFit, PowerLawFit) {
     (fit_power_law(&pts), fit_power_law_log_corrected(&pts))
 }
 
-/// Reads `NETCON_BENCH_SCALE` (percent, default 100) so CI can run the
-/// benches quickly while full runs keep paper-grade sample counts.
+/// `NETCON_BENCH_SCALE` (percent, default 100): CI runs the benches at 1
+/// while full runs keep paper-grade sample counts.
+///
+/// # Panics
+///
+/// Panics if `NETCON_BENCH_SCALE` is set but not a whole number.
+#[must_use]
+pub fn scale_pct() -> usize {
+    netcon_core::knob::read("NETCON_BENCH_SCALE").unwrap_or(100)
+}
+
+/// `trials` scaled by [`scale_pct`], floor 2.
 #[must_use]
 pub fn scale(trials: usize) -> usize {
-    let pct: usize = std::env::var("NETCON_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    (trials * pct / 100).max(2)
+    (trials * scale_pct() / 100).max(2)
 }

@@ -1,5 +1,5 @@
 //! Fast-vs-naive engine comparison: the measurement behind the
-//! `engine_speedup` bench target and the `perf_smoke` JSON record.
+//! head-to-head sections of the perf record (`crate::sections`).
 
 use std::time::Instant;
 
@@ -42,7 +42,10 @@ pub struct Comparison {
     pub mean_rel_diff: f64,
 }
 
-fn stats_of(samples: &[(f64, f64, f64)], wall_s: f64) -> EngineStats {
+/// One trial's `(converged_at, steps, effective_steps)`.
+type Sample = (f64, f64, f64);
+
+fn stats_of(samples: &[Sample], wall_s: f64) -> EngineStats {
     let trials = samples.len();
     let tf = trials as f64;
     let mean = |i: usize| -> f64 {
@@ -68,6 +71,24 @@ fn stats_of(samples: &[(f64, f64, f64)], wall_s: f64) -> EngineStats {
     }
 }
 
+/// Runs `trials` trials, timing the whole set: `trial(t)` runs trial
+/// `t` and returns its `(converged_at, steps, effective_steps)`.
+fn timed(trials: usize, trial: impl FnMut(usize) -> Sample) -> (Vec<Sample>, EngineStats) {
+    let t0 = Instant::now();
+    let samples: Vec<_> = (0..trials).map(trial).collect();
+    let stats = stats_of(&samples, t0.elapsed().as_secs_f64());
+    (samples, stats)
+}
+
+/// Runs `$sim` to `$stable` and samples its counters, as [`timed`] wants.
+macro_rules! sample {
+    ($sim:ident, $stable:expr) => {{
+        let out = $sim.run_until($stable, u64::MAX);
+        let converged = out.converged_at().expect("stabilizes") as f64;
+        (converged, $sim.steps() as f64, $sim.effective_steps() as f64)
+    }};
+}
+
 /// Runs `event_trials` event-driven and `naive_trials` naive executions of
 /// `protocol` to `stable` on `n` nodes, sharing the seed stream
 /// (`derive2(base_seed, n, trial)`), and reports the head-to-head record.
@@ -86,32 +107,15 @@ pub fn compare_engines(
     base_seed: u64,
 ) -> Comparison {
     let compiled = protocol.compile();
-    let mut event_samples = Vec::with_capacity(event_trials);
-    let t0 = Instant::now();
-    for t in 0..event_trials {
-        let mut sim = EventSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        event_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let event = stats_of(&event_samples, t0.elapsed().as_secs_f64());
-
-    let mut naive_samples = Vec::with_capacity(naive_trials);
-    let t0 = Instant::now();
-    for t in 0..naive_trials {
-        let mut sim =
-            Simulation::new(protocol.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        naive_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let naive = stats_of(&naive_samples, t0.elapsed().as_secs_f64());
+    let seed = |t: usize| derive2(base_seed, n as u64, t as u64);
+    let (_, event) = timed(event_trials, |t| {
+        let mut sim = EventSim::new(compiled.clone(), n, seed(t));
+        sample!(sim, stable)
+    });
+    let (_, naive) = timed(naive_trials, |t| {
+        let mut sim = Simulation::new(protocol.clone(), n, seed(t));
+        sample!(sim, stable)
+    });
 
     Comparison {
         n,
@@ -140,8 +144,6 @@ pub struct RoundComparison {
     pub naive_mean_rounds: f64,
     /// Per-trial mean wall-clock ratio: naive / round.
     pub speedup: f64,
-    /// `|mean_r − mean_n| / mean_n` on `converged_at`.
-    pub mean_rel_diff: f64,
 }
 
 /// Runs `round_trials` [`RoundSim`] and `naive_trials` naive
@@ -166,50 +168,27 @@ pub fn compare_round_engines(
     let pairs_per_round = (n as u64) * (n as u64 - 1) / 2;
     let rounds_of = |converged: f64| (converged as u64).div_ceil(pairs_per_round) as f64;
 
-    let mut round_samples = Vec::with_capacity(round_trials);
-    let t0 = Instant::now();
-    for t in 0..round_trials {
-        let mut sim = RoundSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        round_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let round = stats_of(&round_samples, t0.elapsed().as_secs_f64());
-    let round_mean_rounds =
-        round_samples.iter().map(|s| rounds_of(s.0)).sum::<f64>() / round_trials as f64;
-
-    let mut naive_samples = Vec::with_capacity(naive_trials);
-    let t0 = Instant::now();
-    for t in 0..naive_trials {
-        let mut sim = Simulation::with_scheduler(
-            protocol.clone(),
-            n,
-            derive2(base_seed, n as u64, t as u64),
-            ShuffledRounds::new(),
-        );
-        let out = sim.run_until(stable, u64::MAX);
-        naive_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let naive = stats_of(&naive_samples, t0.elapsed().as_secs_f64());
-    let naive_mean_rounds =
-        naive_samples.iter().map(|s| rounds_of(s.0)).sum::<f64>() / naive_trials as f64;
+    let mean_rounds = |samples: &[Sample]| {
+        samples.iter().map(|s| rounds_of(s.0)).sum::<f64>() / samples.len() as f64
+    };
+    let seed = |t: usize| derive2(base_seed, n as u64, t as u64);
+    let (round_samples, round) = timed(round_trials, |t| {
+        let mut sim = RoundSim::new(compiled.clone(), n, seed(t));
+        sample!(sim, stable)
+    });
+    let (naive_samples, naive) = timed(naive_trials, |t| {
+        let mut sim =
+            Simulation::with_scheduler(protocol.clone(), n, seed(t), ShuffledRounds::new());
+        sample!(sim, stable)
+    });
 
     RoundComparison {
         n,
         speedup: (naive.wall_s / naive.trials as f64) / (round.wall_s / round.trials as f64),
-        mean_rel_diff: (round.mean_converged - naive.mean_converged).abs()
-            / naive.mean_converged,
         round,
-        round_mean_rounds,
+        round_mean_rounds: mean_rounds(&round_samples),
         naive,
-        naive_mean_rounds,
+        naive_mean_rounds: mean_rounds(&naive_samples),
     }
 }
 
@@ -229,18 +208,12 @@ pub fn bucket_stats(
     base_seed: u64,
 ) -> (EngineStats, u64) {
     let compiled = protocol.compile();
-    let mut samples = Vec::with_capacity(trials);
     let mut mem = 0u64;
-    let t0 = Instant::now();
-    for t in 0..trials {
+    let (_, stats) = timed(trials, |t| {
         let mut sim = BucketSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(sparse_stable, u64::MAX);
-        samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
+        let sample = sample!(sim, sparse_stable);
         mem = sim.approx_mem_bytes();
-    }
-    (stats_of(&samples, t0.elapsed().as_secs_f64()), mem)
+        sample
+    });
+    (stats, mem)
 }

@@ -110,6 +110,7 @@ pub mod bucket;
 pub mod compiled;
 pub mod event;
 pub mod fault;
+pub mod knob;
 pub mod round;
 pub mod round_bucket;
 pub mod rules;

@@ -396,12 +396,13 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
 
     /// The active memory budget (`NETCON_ENGINE_MEM_BUDGET` or the
     /// 512 MiB default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `NETCON_ENGINE_MEM_BUDGET` is set but not a `u64`.
     #[must_use]
     pub fn default_budget() -> u64 {
-        std::env::var("NETCON_ENGINE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MEM_BUDGET)
+        crate::knob::read("NETCON_ENGINE_MEM_BUDGET").unwrap_or(DEFAULT_MEM_BUDGET)
     }
 
     /// Whether a sparse engine ([`BucketSim`] or [`RoundBucketSim`]) was

@@ -20,14 +20,11 @@
 
 use std::time::Instant;
 
-use netcon::core::{Engine, EventSim};
+use netcon::core::{knob, Engine, EventSim};
 use netcon::protocols::simple_global_line;
 
 fn main() {
-    let n: usize = std::env::var("NETCON_HUGE_LINE_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let n: usize = knob::read("NETCON_HUGE_LINE_N").unwrap_or(100_000);
     println!("Simple-Global-Line on n = {n} nodes\n");
     println!(
         "dense-engine estimate : {:>10.1} MB (pair map + bitsets)",
