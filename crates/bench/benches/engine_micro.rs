@@ -56,21 +56,6 @@ fn engine_throughput(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("event_advance_scanning_line_n1024", |b| {
-        // Scanning-mode maintenance: the observed-state registry prunes
-        // the per-node rescan to word-parallel bitset work (PR 3); before
-        // it, every candidate cost ~2n live `can_affect` queries.
-        let mut sim = EventSim::new_scanning(simple_global_line::protocol(), 1024, 1);
-        let mut reseed = 2u64;
-        b.iter(|| {
-            if sim.is_quiescent() {
-                sim = EventSim::new_scanning(simple_global_line::protocol(), 1024, reseed);
-                reseed += 1;
-            }
-            black_box(sim.advance(u64::MAX))
-        });
-    });
-
     group.bench_function("star_predicate_n256", |b| {
         let mut sim = Simulation::new(global_star::protocol(), 256, 1);
         sim.run_for(100_000);

@@ -61,8 +61,11 @@
 //! # Choosing an engine
 //!
 //! [`Simulation`] executes every scheduler draw — use it for adversarial
-//! (non-uniform) schedulers, for machines with huge state spaces, or when
-//! the per-draw trace itself is the object of study. [`EventSim`] is the
+//! (non-uniform) schedulers, for machines with composite states (no
+//! [`EnumerableMachine`], so no dense effect table for the fast engines
+//! to read), or when the per-draw trace itself is the object of study.
+//! It is also the reference the fast engines are checked against.
+//! [`EventSim`] is the
 //! default for measurement: identical output distribution under the
 //! uniform scheduler at a cost proportional to *effective* interactions
 //! (10–1000× fewer for the paper's constructors at interesting sizes).

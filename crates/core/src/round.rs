@@ -92,10 +92,6 @@ use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFa
 use crate::sim::StepResult;
 use crate::{Link, Population};
 
-/// Monomorphic indexed-interaction entry point captured from
-/// [`EnumerableMachine::interact_indexed`] at construction.
-type InteractFn<M> = fn(&M, usize, usize, Link, &mut SmallRng) -> Option<(usize, usize, Link)>;
-
 /// Membership bitset over unordered pairs (one canonical bit per pair)
 /// plus a member list for O(members) clearing: the round's
 /// known-scheduled set, which only ever needs insert / contains / clear.
@@ -187,9 +183,7 @@ pub struct RoundSim<M: EnumerableMachine> {
     /// The exact effective set `E` for the current configuration,
     /// maintained by the shared [`EffectIndex`].
     pairs: PairSet,
-    index: EffectIndex<M>,
-    interact: InteractFn<M>,
-    state_at: fn(&M, usize) -> M::State,
+    index: EffectIndex,
     /// `A`: effective and not yet scheduled this round.
     cand: PairSet,
     /// `B`: resolved, currently ineffective, not yet scheduled.
@@ -259,8 +253,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
             table.is_symmetric(),
             "RoundSim requires can_affect to be symmetric in its node arguments"
         );
-        let (index, pairs) =
-            EffectIndex::build(&machine, &pop, table, |m: &M, s: &M::State| m.state_index(s));
+        let (index, pairs) = EffectIndex::build(&machine, &pop, table);
         let m = (n as u64) * (n as u64 - 1) / 2;
         let row_words = n.div_ceil(64);
         let mut sim = Self {
@@ -270,8 +263,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
             book: Bookkeeping::default(),
             pairs,
             index,
-            interact: |m: &M, a, b, link, rng: &mut SmallRng| m.interact_indexed(a, b, link, rng),
-            state_at: |m: &M, i: usize| m.state_at(i),
             cand: PairSet::new(n),
             ineff_rem: PairSet::new(n),
             sched: SchedSet::new(n),
@@ -642,8 +633,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
         self.sched.insert(u, v);
         let pair = (u, v);
         let link = Link::from(self.pop.edges().is_active(u, v));
-        let outcome = (self.interact)(
-            &self.machine,
+        let outcome = self.machine.interact_indexed(
             self.index.state_index(u),
             self.index.state_index(v),
             link,
@@ -665,10 +655,8 @@ impl<M: EnumerableMachine> RoundSim<M> {
         if edge_changed {
             self.pop.edges_mut().set(u, v, l2.is_on());
         }
-        self.pop
-            .set_state(u, (self.state_at)(&self.machine, a2));
-        self.pop
-            .set_state(v, (self.state_at)(&self.machine, b2));
+        self.pop.set_state(u, self.machine.state_at(a2));
+        self.pop.set_state(v, self.machine.state_at(b2));
         self.book.record_effective(edge_changed);
         // Snapshot the two touched effective-set rows, let the shared
         // index rescan them, then reclassify exactly the flipped pairs.

@@ -100,10 +100,6 @@ use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFa
 use crate::sim::StepResult;
 use crate::{Link, Population};
 
-/// Monomorphic indexed-interaction entry point captured from
-/// [`EnumerableMachine::interact_indexed`] at construction.
-type InteractFn<M> = fn(&M, usize, usize, Link, &mut SmallRng) -> Option<(usize, usize, Link)>;
-
 /// Canonical key of an unordered node pair (min in the high half).
 #[inline]
 fn pkey(a: usize, b: usize) -> u64 {
@@ -203,8 +199,6 @@ pub struct RoundBucketSim<M: EnumerableMachine> {
     rng: SmallRng,
     book: Bookkeeping,
     table: EffectTable,
-    interact: InteractFn<M>,
-    state_at: fn(&M, usize) -> M::State,
     /// Unordered class pairs `(q1 ≤ q2)` with `can_affect(q1, q2, Off)` —
     /// the bulk strata, fixed at construction.
     sup_pairs: Vec<(u16, u16)>,
@@ -371,8 +365,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
             table,
-            interact: |m: &M, a, b, link, rng: &mut SmallRng| m.interact_indexed(a, b, link, rng),
-            state_at: |m: &M, i: usize| m.state_at(i),
             sup_pairs,
             nq,
             m,
@@ -525,7 +517,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
         let states = (0..self.sp.n())
-            .map(|u| (self.state_at)(&self.machine, self.sp.state_index(u)))
+            .map(|u| self.machine.state_at(self.sp.state_index(u)))
             .collect();
         Population::from_parts(states, self.sp.to_edgeset())
     }
@@ -1257,8 +1249,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             }
         };
         let link = Link::from(self.sp.is_active(a, b));
-        let outcome = (self.interact)(
-            &self.machine,
+        let outcome = self.machine.interact_indexed(
             self.sp.state_index(a),
             self.sp.state_index(b),
             link,

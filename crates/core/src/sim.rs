@@ -8,12 +8,16 @@
 //! change; harnesses certify stabilization with a protocol-specific stable
 //! predicate and read the convergence time from
 //! [`RunOutcome::converged_at`].
+//!
+//! [`Simulation`] is the reference semantics: it makes every scheduler
+//! draw and keeps its own counters, and it shares no candidate tracking
+//! with the fast engines it is checked against. It is also the engine for
+//! machines with composite states, which have no dense effect table.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::compiled::EnumerableMachine;
-use crate::engine::{EffectIndex, PairSet};
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
 use crate::{Link, Machine, Population, Scheduler, Uniform};
@@ -120,7 +124,6 @@ pub struct Simulation<M: Machine, S: Scheduler = Uniform> {
     pop: Population<M::State>,
     rng: SmallRng,
     book: Counters,
-    tracker: Option<Tracker<M>>,
     faults: Option<FaultState>,
 }
 
@@ -156,14 +159,6 @@ impl Counters {
             last_effective: self.last_effective,
         }
     }
-}
-
-/// Optional incremental effective-pair tracking (see
-/// [`Simulation::track_effective`]).
-#[derive(Debug, Clone)]
-struct Tracker<M: Machine> {
-    index: EffectIndex<M>,
-    pairs: PairSet,
 }
 
 impl<M: Machine> Simulation<M, Uniform> {
@@ -253,7 +248,6 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
             pop,
             rng: SmallRng::seed_from_u64(seed),
             book: Counters::default(),
-            tracker: None,
             faults: None,
         }
     }
@@ -362,10 +356,6 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
                 self.pop.set_state(u, a2);
                 self.pop.set_state(v, b2);
                 self.book.record_effective(edge_changed);
-                if let Some(t) = &mut self.tracker {
-                    t.index
-                        .on_interaction(&self.machine, &self.pop, &mut t.pairs, u, v);
-                }
                 StepResult::Effective {
                     pair: (u, v),
                     edge_changed,
@@ -439,25 +429,13 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     /// structural half (edge deletions, recorded as output changes).
     fn apply_resolved(&mut self, resolved: ResolvedFault) {
         match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Arrive(x) => {
-                // The node already sits in its ghost slot with the
-                // initial state and no edges; only candidate tracking
-                // (if any) needs to admit its pairs.
-                if let Some(t) = &mut self.tracker {
-                    t.index.set_present(x);
-                    t.index.rescan_node(&self.pop, &mut t.pairs, x);
-                }
-            }
+            // An arriving node already sits in its ghost slot with the
+            // initial state and no edges.
+            ResolvedFault::Noop | ResolvedFault::Arrive(_) => {}
             ResolvedFault::Crash(x) => {
                 let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
                 for &w in &neighbors {
                     self.pop.edges_mut().set(x, w, false);
-                }
-                if let Some(t) = &mut self.tracker {
-                    t.index.set_absent(x);
-                    let zeros = vec![0u64; t.pairs.row_bits(x).len()];
-                    crate::engine::apply_desired_row(&mut t.pairs, x, &zeros);
                 }
                 if !neighbors.is_empty() {
                     self.book.edge_events += neighbors.len() as u64;
@@ -471,14 +449,6 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
                     if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
                         if *self.pop.state(w) != s2 {
                             self.pop.set_state(w, s2);
-                            if let Some(t) = &mut self.tracker {
-                                t.index.on_state_change(
-                                    &self.machine,
-                                    &self.pop,
-                                    &mut t.pairs,
-                                    w,
-                                );
-                            }
                         }
                     }
                 }
@@ -504,32 +474,19 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
         self.pop.edges_mut().set(u, v, false);
         self.book.edge_events += 1;
         self.book.last_output_change = self.book.steps;
-        if let Some(t) = &mut self.tracker {
-            let (a, b) = (u.min(v), u.max(v));
-            let eff = t
-                .index
-                .table()
-                .can_affect(t.index.state_index(a), t.index.state_index(b), Link::Off);
-            t.pairs.set(a, b, eff);
-        }
     }
 
     /// Whether no pair of nodes has any effective interaction — the
     /// strongest form of stability.
     ///
-    /// With [`track_effective`](Self::track_effective) enabled this reads
-    /// the incrementally-maintained effective-pair set in O(1); otherwise
-    /// it falls back to the O(n²) pair scan — the only option for machines
-    /// without dense state indices (`EnumerableMachine`), whose
-    /// effectiveness relation cannot be tabulated up front.
+    /// An O(n²) scan of `can_affect` over the live pairs (crashed and
+    /// not-yet-arrived nodes excluded). The fast engines answer the same
+    /// question in O(1) from their maintained candidate sets.
     ///
     /// Note that some correct protocols never quiesce (their leaders walk
     /// forever); those stabilize in output without ever satisfying this.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        if let Some(t) = &self.tracker {
-            return t.pairs.is_empty();
-        }
         let n = self.pop.n();
         for u in 0..n {
             if self.faults.as_ref().is_some_and(|fs| !fs.is_alive(u)) {
@@ -550,25 +507,14 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     }
 
     /// Whether no pair of nodes has an interaction that could change an
-    /// edge *in the current configuration*.
-    ///
-    /// With [`track_effective`](Self::track_effective) enabled this only
-    /// inspects the O(k) currently-effective pairs; otherwise it falls
-    /// back to the O(n²) scan (see [`is_quiescent`](Self::is_quiescent)).
+    /// edge *in the current configuration* — an O(n²) scan of
+    /// `can_affect_edge`, like [`is_quiescent`](Self::is_quiescent).
     ///
     /// This is a one-configuration check, not a reachability proof: a
     /// protocol may pass it and still change edges later after node-state
     /// drift. Use per-protocol stable predicates for certification.
     #[must_use]
     pub fn is_edge_quiescent(&self) -> bool {
-        if let Some(t) = &self.tracker {
-            return t.pairs.iter().all(|(u, v)| {
-                let link = Link::from(self.pop.edges().is_active(u, v));
-                !t.index
-                    .table()
-                    .can_affect_edge(t.index.state_index(u), t.index.state_index(v), link)
-            });
-        }
         let n = self.pop.n();
         for u in 0..n {
             if self.faults.as_ref().is_some_and(|fs| !fs.is_alive(u)) {
@@ -597,56 +543,17 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
         crate::engine::output_graph(&self.machine, &self.pop)
     }
 
-    /// Bytes of heap memory held by the engine: node states, the dense
-    /// edge set (`3n²/16` bytes — the naive loop's Θ(n²) floor), and the
-    /// optional effective-pair tracker. Heap payloads *inside* composite
-    /// states are not counted.
+    /// Bytes of heap memory held by the engine: node states and the dense
+    /// edge set (`3n²/16` bytes — the naive loop's Θ(n²) floor). Heap
+    /// payloads *inside* composite states are not counted.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
         (self.pop.n() * std::mem::size_of::<M::State>()) as u64
             + self.pop.edges().approx_mem_bytes()
-            + self.tracker.as_ref().map_or(0, |t| {
-                t.pairs.approx_mem_bytes() + t.index.approx_mem_bytes()
-            })
     }
 }
 
 impl<M: EnumerableMachine, S: Scheduler> Simulation<M, S> {
-    /// Enables incremental effective-pair tracking: one O(n²) scan now
-    /// (plus an O(|Q|²) effect-table build), then O(n) maintenance per
-    /// *effective* step, making [`is_quiescent`](Self::is_quiescent) O(1)
-    /// and [`is_edge_quiescent`](Self::is_edge_quiescent) O(k).
-    ///
-    /// Worth it for harnesses that poll quiescence while stepping; for
-    /// runs that are dominated by ineffective steps, prefer
-    /// [`EventSim`](crate::EventSim), which gets the same bookkeeping for
-    /// free and skips the ineffective steps altogether.
-    pub fn track_effective(&mut self) {
-        let table = self.machine.effect_table();
-        let (index, pairs) = EffectIndex::build(&self.machine, &self.pop, table, |m: &M, s| {
-            m.state_index(s)
-        });
-        let mut tracker = Tracker { index, pairs };
-        // The full scan admitted ghost pairs; faulted runs retire them.
-        if let Some(fs) = &self.faults {
-            for x in 0..self.pop.n() {
-                if !fs.is_alive(x) {
-                    tracker.index.set_absent(x);
-                    let zeros = vec![0u64; tracker.pairs.row_bits(x).len()];
-                    crate::engine::apply_desired_row(&mut tracker.pairs, x, &zeros);
-                }
-            }
-        }
-        self.tracker = Some(tracker);
-    }
-
-    /// The number of currently possibly-effective pairs, if tracking is
-    /// enabled.
-    #[must_use]
-    pub fn effective_pairs(&self) -> Option<usize> {
-        self.tracker.as_ref().map(|t| t.pairs.len())
-    }
-
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set (the dense-index
     /// requirement is why the faulted run loops live under the
@@ -897,19 +804,27 @@ mod tests {
 
     #[test]
     fn tracked_quiescence_agrees_with_scan() {
-        // Two identically-seeded runs, one with the incremental tracker:
-        // the tracker must agree with the O(n²) fallback after every step.
-        let mut tracked = Simulation::new(matching_protocol(), 14, 21);
-        tracked.track_effective();
-        let mut scanned = Simulation::new(matching_protocol(), 14, 21);
-        for _ in 0..3_000 {
-            assert_eq!(tracked.step(), scanned.step());
-            assert_eq!(tracked.is_quiescent(), scanned.is_quiescent());
-            assert_eq!(tracked.is_edge_quiescent(), scanned.is_edge_quiescent());
+        // The O(n²) quiescence scans against the event engine's
+        // incrementally-maintained candidate set, rebuilt from the same
+        // configuration after every naive step: two independent
+        // implementations of the same question. On 6 nodes the last
+        // unmatched pair is uniform over all 15 pairs, so 200 seeds
+        // reach configurations whose only effective pair lies in any
+        // given row of the scan.
+        let p = matching_protocol();
+        let mut saw = [false; 2];
+        for seed in 0..200 {
+            let mut sim = Simulation::new(p.clone(), 6, seed);
+            for _ in 0..100 {
+                sim.step();
+                let event =
+                    crate::EventSim::from_population(p.clone(), sim.population().clone(), 0);
+                assert_eq!(sim.is_quiescent(), event.is_quiescent(), "seed {seed}");
+                assert_eq!(sim.is_edge_quiescent(), event.is_edge_quiescent(), "seed {seed}");
+                saw[usize::from(sim.is_quiescent())] = true;
+            }
         }
-        assert!(tracked.is_quiescent(), "matching on 14 nodes quiesces fast");
-        assert_eq!(tracked.effective_pairs(), Some(0));
-        assert_eq!(scanned.effective_pairs(), None);
+        assert_eq!(saw, [true, true], "both verdicts occur");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn assert_stabilizes_event<M: EnumerableMachine>(
 ///
 /// Panics (with context) if the run exhausts `max_steps` before `stable`
 /// holds, or if the output graph changes during the follow-up phase.
-pub fn assert_stabilizes_event_sim<M: Machine>(
+pub fn assert_stabilizes_event_sim<M: EnumerableMachine>(
     mut sim: EventSim<M>,
     stable: impl FnMut(&Population<M::State>) -> bool,
     max_steps: u64,
