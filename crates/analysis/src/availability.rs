@@ -217,8 +217,7 @@ mod tests {
         // yields a zero-length horizon through the real pipeline.
         use netcon_core::{AdversaryPlan, AdversaryPolicy, Cadence, FaultPlan};
         let plan = FaultPlan::new(11).with_adversary(
-            AdversaryPlan::new(Cadence::Burst(vec![0]))
-                .policy(AdversaryPolicy::CrashMaxDegree),
+            AdversaryPlan::new(Cadence::Burst(vec![0])).policy(AdversaryPolicy::CrashMaxDegree),
         );
         assert_eq!(plan.boundary_times(), vec![0]);
         let r = availability(&star(), 8, 2, plan, star_stable, u64::MAX);

@@ -47,7 +47,11 @@ pub fn fit_power_law(points: &[(f64, f64)]) -> PowerLawFit {
         .iter()
         .map(|p| (p.1 - (slope * p.0 + intercept)).powi(2))
         .sum();
-    let r_squared = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
+    let r_squared = if ss_tot == 0.0 {
+        1.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
     PowerLawFit {
         exponent: slope,
         constant: intercept.exp(),
@@ -69,10 +73,7 @@ pub fn fit_power_law_log_corrected(points: &[(f64, f64)]) -> PowerLawFit {
         points.iter().all(|&(x, _)| x > 1.0),
         "log-corrected fit needs n > 1"
     );
-    let corrected: Vec<(f64, f64)> = points
-        .iter()
-        .map(|&(x, y)| (x, y / x.ln()))
-        .collect();
+    let corrected: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x, y / x.ln())).collect();
     fit_power_law(&corrected)
 }
 

@@ -96,8 +96,8 @@ where
             for t in 0..trials {
                 let seed = netcon_core::seeds::derive2(base_seed, i as u64, t as u64);
                 let plan = make_plan(rate, seed, n);
-                sum += availability(protocol, n, seed, plan, &stable, max_steps)
-                    .fraction_available();
+                sum +=
+                    availability(protocol, n, seed, plan, &stable, max_steps).fraction_available();
             }
             RatePoint {
                 rate,
@@ -277,7 +277,10 @@ mod tests {
             knee.rate >= 5e-4 && knee.rate <= 4e-3,
             "knee near the regime break: {knee:?}"
         );
-        assert!(knee.left.exponent > knee.right.exponent, "collapse is steeper");
+        assert!(
+            knee.left.exponent > knee.right.exponent,
+            "collapse is steeper"
+        );
         assert!((knee.left.exponent - -0.1).abs() < 0.1);
         assert!((knee.right.exponent - -2.0).abs() < 0.3);
     }
@@ -345,13 +348,7 @@ mod tests {
             2,
             17,
             |rate, seed, _n| {
-                periodic_adversary_plan(
-                    rate,
-                    seed,
-                    horizon,
-                    &[AdversaryPolicy::CrashMaxDegree],
-                    4,
-                )
+                periodic_adversary_plan(rate, seed, horizon, &[AdversaryPolicy::CrashMaxDegree], 4)
             },
             star_stable,
             u64::MAX,
@@ -378,13 +375,7 @@ mod tests {
 
     #[test]
     fn periodic_adversary_plan_matches_the_rate() {
-        let plan = periodic_adversary_plan(
-            1e-3,
-            3,
-            10_000,
-            &[AdversaryPolicy::CrashMaxDegree],
-            2,
-        );
+        let plan = periodic_adversary_plan(1e-3, 3, 10_000, &[AdversaryPolicy::CrashMaxDegree], 2);
         let adv = plan.adversary().expect("adversarial plan");
         assert_eq!(adv.cadence().count(), 10, "10k draws at 1e-3 = 10 strikes");
         assert_eq!(plan.boundary_times().first(), Some(&1000));

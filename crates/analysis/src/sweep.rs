@@ -76,7 +76,9 @@ where
         .iter()
         .flat_map(|&n| (0..cfg.trials).map(move |t| (n, t)))
         .collect();
-    let results = run_jobs(&jobs, |&(n, t)| workload(n, derive_seed(cfg.base_seed, n, t)));
+    let results = run_jobs(&jobs, |&(n, t)| {
+        workload(n, derive_seed(cfg.base_seed, n, t))
+    });
 
     let mut rows = Vec::with_capacity(cfg.sizes.len());
     for (i, &n) in cfg.sizes.iter().enumerate() {
@@ -84,7 +86,11 @@ where
             .map(|t| results[i * cfg.trials + t])
             .collect();
         let summary = Summary::of(&samples);
-        rows.push(SizeResult { n, samples, summary });
+        rows.push(SizeResult {
+            n,
+            samples,
+            summary,
+        });
     }
     SweepTable { rows }
 }
@@ -120,10 +126,15 @@ pub fn sweep_converged_at<P>(
 where
     P: Fn(&Population<StateId>) -> bool + Sync,
 {
-    sweep_converged_at_view(cfg, protocol, |view| match view {
-        EngineView::Dense { pop, .. } => stable(pop),
-        sparse @ EngineView::Sparse { .. } => stable(&sparse.to_population()),
-    }, max_steps)
+    sweep_converged_at_view(
+        cfg,
+        protocol,
+        |view| match view {
+            EngineView::Dense { pop, .. } => stable(pop),
+            sparse @ EngineView::Sparse { .. } => stable(&sparse.to_population()),
+        },
+        max_steps,
+    )
 }
 
 /// [`sweep_converged_at`] with the predicate over the engine-selection
@@ -180,7 +191,14 @@ pub fn rounds_to_converge(
     stable: impl Fn(&Population<StateId>) -> bool,
     max_steps: u64,
 ) -> u64 {
-    rounds_of_run(protocol.compile(), protocol.name(), n, seed, &stable, max_steps)
+    rounds_of_run(
+        protocol.compile(),
+        protocol.name(),
+        n,
+        seed,
+        &stable,
+        max_steps,
+    )
 }
 
 /// [`rounds_to_converge`] with the predicate over the engine-selection
@@ -198,7 +216,14 @@ pub fn rounds_to_converge_view(
     stable: impl Fn(&EngineView<'_, CompiledTable>) -> bool,
     max_steps: u64,
 ) -> u64 {
-    rounds_of_run_view(protocol.compile(), protocol.name(), n, seed, &stable, max_steps)
+    rounds_of_run_view(
+        protocol.compile(),
+        protocol.name(),
+        n,
+        seed,
+        &stable,
+        max_steps,
+    )
 }
 
 /// [`rounds_to_converge`] on an already-compiled table (so sweeps
@@ -465,8 +490,7 @@ mod tests {
         for (i, row) in t.rows.iter().enumerate() {
             assert_eq!(row.n, i + 2);
             for (t_idx, &v) in row.samples.iter().enumerate() {
-                let expect =
-                    (row.n as f64) * 1e6 + (derive_seed(7, row.n, t_idx) % 1000) as f64;
+                let expect = (row.n as f64) * 1e6 + (derive_seed(7, row.n, t_idx) % 1000) as f64;
                 assert_eq!(v, expect);
             }
         }

@@ -9,8 +9,7 @@ use netcon_analysis::stats::Summary;
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::scale;
 use netcon_core::{
-    Population, RoundRobin, RuleProtocol, Scheduler, ShuffledRounds, Simulation, StateId,
-    Uniform,
+    Population, RoundRobin, RuleProtocol, Scheduler, ShuffledRounds, Simulation, StateId, Uniform,
 };
 use netcon_protocols::{cycle_cover, fast_global_line, global_star, spanning_net};
 
@@ -34,8 +33,16 @@ fn main() {
     let trials = scale(10) as u64;
     println!("=== Ablation: scheduler sensitivity (n = {n}, {trials} trials) ===\n");
     let entries: [Entry; 4] = [
-        ("Global-Star", global_star::protocol(), global_star::is_stable),
-        ("Cycle-Cover", cycle_cover::protocol(), cycle_cover::is_stable),
+        (
+            "Global-Star",
+            global_star::protocol(),
+            global_star::is_stable,
+        ),
+        (
+            "Cycle-Cover",
+            cycle_cover::protocol(),
+            cycle_cover::is_stable,
+        ),
         (
             "Fast-Global-Line",
             fast_global_line::protocol(),

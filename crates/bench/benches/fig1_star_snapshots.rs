@@ -16,7 +16,10 @@ fn main() {
     let n = 192;
     let mut sim = EventSim::new(global_star::protocol().compile(), n, 2014);
     println!("=== Fig. 1: star formation time series (n = {n}) ===\n");
-    println!("{:>9}  {:>7} {:>12} {:>12}", "step", "blacks", "black-red", "red-red");
+    println!(
+        "{:>9}  {:>7} {:>12} {:>12}",
+        "step", "blacks", "black-red", "red-red"
+    );
 
     let print_state = |sim: &EventSim<netcon_core::CompiledTable>, label: &str| {
         let pop = sim.population();
@@ -31,7 +34,13 @@ fn main() {
             .active_edges()
             .filter(|&(u, v)| *pop.state(u) == P && *pop.state(v) == P)
             .count();
-        println!("{:>9}  {:>7} {:>12} {:>12}  {label}", sim.steps(), blacks, br, rr);
+        println!(
+            "{:>9}  {:>7} {:>12} {:>12}  {label}",
+            sim.steps(),
+            blacks,
+            br,
+            rr
+        );
     };
 
     print_state(&sim, "(a) initial: all black, no edges");

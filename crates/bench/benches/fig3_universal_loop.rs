@@ -29,7 +29,10 @@ fn accept_rate(lang: &dyn GraphLanguage, m: usize) -> f64 {
     ok as f64 / f64::from(trials)
 }
 
-fn mean_rejections(make: &dyn Fn() -> Box<dyn GraphLanguage + Send + Sync>, m: usize) -> (f64, f64) {
+fn mean_rejections(
+    make: &dyn Fn() -> Box<dyn GraphLanguage + Send + Sync>,
+    m: usize,
+) -> (f64, f64) {
     let trials = 10;
     let mut rej = 0u32;
     let mut steps = 0u64;
@@ -40,7 +43,10 @@ fn mean_rejections(make: &dyn Fn() -> Box<dyn GraphLanguage + Send + Sync>, m: u
         steps += out.converged_at().expect("constructor stabilizes");
         rej += leader_of(sim.population()).expect("leader").rejections;
     }
-    (f64::from(rej) / f64::from(trials as u32), steps as f64 / f64::from(trials as u32))
+    (
+        f64::from(rej) / f64::from(trials as u32),
+        steps as f64 / f64::from(trials as u32),
+    )
 }
 
 type LangFactory = Box<dyn Fn() -> Box<dyn GraphLanguage + Send + Sync>>;
@@ -62,7 +68,11 @@ fn main() {
     for (name, make) in &langs {
         for m in [4usize, 6] {
             let p = accept_rate(&*make(), m);
-            let theory = if p > 0.0 { 1.0 / p - 1.0 } else { f64::INFINITY };
+            let theory = if p > 0.0 {
+                1.0 / p - 1.0
+            } else {
+                f64::INFINITY
+            };
             let (meas, steps) = mean_rejections(make, m);
             println!(
                 "{name:<22} {m:>3} {p:>14.3} {theory:>16.2} {meas:>14.2}   ({steps:.0} steps)"

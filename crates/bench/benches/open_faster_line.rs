@@ -88,9 +88,18 @@ fn main() {
     let (fit_simple, _) = fits(&simple);
     let (fit_leader, fit_leader_log) = fits(&leader);
     println!("exponent fits:");
-    println!("  Simple-Global-Line: {}   (paper: Ω(n⁴), O(n⁵))", fmt_fit(&fit_simple));
-    println!("  Fast-Global-Line:   {}   (paper: O(n³))", fmt_fit(&fit_fast));
-    println!("  Faster-Global-Line: {}   (paper: open)", fmt_fit(&fit_faster));
+    println!(
+        "  Simple-Global-Line: {}   (paper: Ω(n⁴), O(n⁵))",
+        fmt_fit(&fit_simple)
+    );
+    println!(
+        "  Fast-Global-Line:   {}   (paper: O(n³))",
+        fmt_fit(&fit_fast)
+    );
+    println!(
+        "  Faster-Global-Line: {}   (paper: open)",
+        fmt_fit(&fit_faster)
+    );
     println!(
         "  Leader-Line (§7):   {} / log-corrected {}   (paper: Θ(n² log n) with a pre-elected leader)",
         fmt_fit(&fit_leader),

@@ -57,7 +57,10 @@ fn main() {
         round_fits,
         "selector disagrees with the round-engine budget"
     );
-    println!("Engine::auto_for(n = {n0}, ShuffledRounds) -> {}", eng.kind());
+    println!(
+        "Engine::auto_for(n = {n0}, ShuffledRounds) -> {}",
+        eng.kind()
+    );
     drop(eng);
 
     // And the sparse side of the same cross-check: beyond the dense
@@ -86,7 +89,10 @@ fn main() {
         "n = {n_big} should be beyond the dense round budget"
     );
     assert_eq!(eng.kind(), "round-sparse", "frontier n must go sparse");
-    println!("Engine::auto_for(n = {n_big}, ShuffledRounds) -> {}\n", eng.kind());
+    println!(
+        "Engine::auto_for(n = {n_big}, ShuffledRounds) -> {}\n",
+        eng.kind()
+    );
     drop(eng);
 
     // Head-to-head on Simple-Global-Line at n = 64: RoundSim vs the
@@ -113,7 +119,10 @@ fn main() {
             &format!("{:.4}s", stats.wall_s / stats.trials as f64),
         ]);
     }
-    println!("--- Simple-Global-Line n = 64: RoundSim vs naive ({:.0}x/trial) ---", c.speedup);
+    println!(
+        "--- Simple-Global-Line n = 64: RoundSim vs naive ({:.0}x/trial) ---",
+        c.speedup
+    );
     println!("{}", t.render());
     let (round_rounds, naive_rounds) = (c.round_mean_rounds, c.naive_mean_rounds);
     let rel = (round_rounds - naive_rounds).abs() / naive_rounds.max(1.0);

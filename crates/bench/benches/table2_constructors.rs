@@ -167,6 +167,11 @@ fn main() {
         fmt_fit(&corrected)
     );
     for r in &t.rows {
-        println!("  n={:<3} mean {:>10.0} ±{:>8.0}", r.n, r.summary.mean, r.summary.ci95());
+        println!(
+            "  n={:<3} mean {:>10.0} ±{:>8.0}",
+            r.n,
+            r.summary.mean,
+            r.summary.ci95()
+        );
     }
 }

@@ -48,9 +48,7 @@ type Sample = (f64, f64, f64);
 fn stats_of(samples: &[Sample], wall_s: f64) -> EngineStats {
     let trials = samples.len();
     let tf = trials as f64;
-    let mean = |i: usize| -> f64 {
-        samples.iter().map(|s| [s.0, s.1, s.2][i]).sum::<f64>() / tf
-    };
+    let mean = |i: usize| -> f64 { samples.iter().map(|s| [s.0, s.1, s.2][i]).sum::<f64>() / tf };
     let mean_converged = mean(0);
     let var_converged = if trials > 1 {
         samples
@@ -85,7 +83,11 @@ macro_rules! sample {
     ($sim:ident, $stable:expr) => {{
         let out = $sim.run_until($stable, u64::MAX);
         let converged = out.converged_at().expect("stabilizes") as f64;
-        (converged, $sim.steps() as f64, $sim.effective_steps() as f64)
+        (
+            converged,
+            $sim.steps() as f64,
+            $sim.effective_steps() as f64,
+        )
     }};
 }
 
@@ -120,8 +122,7 @@ pub fn compare_engines(
     Comparison {
         n,
         speedup: (naive.wall_s / naive.trials as f64) / (event.wall_s / event.trials as f64),
-        mean_rel_diff: (event.mean_converged - naive.mean_converged).abs()
-            / naive.mean_converged,
+        mean_rel_diff: (event.mean_converged - naive.mean_converged).abs() / naive.mean_converged,
         event,
         naive,
     }

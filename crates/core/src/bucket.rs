@@ -1328,8 +1328,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
                     if uc != vc {
                         return false; // a candidate straddling a path
                     }
-                    let Some((path, z)) = self.endgame_validate_path(u as usize, v as usize)
-                    else {
+                    let Some((path, z)) = self.endgame_validate_path(u as usize, v as usize) else {
                         return false;
                     };
                     seen.extend(path.iter().copied());
@@ -1801,8 +1800,8 @@ impl<M: EnumerableMachine> Kernel for BucketSim<M> {
 mod tests {
     use super::*;
     use crate::driver::contract;
-    use crate::{Driver, RunOutcome};
     use crate::{CompiledTable, EventSim, ProtocolBuilder, RuleProtocol};
+    use crate::{Driver, RunOutcome};
 
     const OFF: Link = Link::Off;
     const ON: Link = Link::On;
@@ -1910,7 +1909,10 @@ mod tests {
         pop.set_state(3, crate::StateId::new(1));
         pop.edges_mut().activate(2, 3);
         let mut sim = BucketSim::from_population(p, pop, 3);
-        assert!(sim.candidate_weight() > 0, "the dead pair stays a candidate");
+        assert!(
+            sim.candidate_weight() > 0,
+            "the dead pair stays a candidate"
+        );
         let t0 = std::time::Instant::now();
         let out = sim.run_until(|_| false, 1_000_000_000_000);
         assert_eq!(
@@ -1938,10 +1940,8 @@ mod tests {
                         BucketSim::new(matching_protocol(), 12, 1000 + seed)
                             .run_until_edges(|p| p.active_count() == 6, u64::MAX)
                     } else {
-                        EventSim::new(matching_protocol(), 12, 2000 + seed).run_until_edges(
-                            |p| p.edges().active_count() == 6,
-                            u64::MAX,
-                        )
+                        EventSim::new(matching_protocol(), 12, 2000 + seed)
+                            .run_until_edges(|p| p.edges().active_count() == 6, u64::MAX)
                     };
                     out.converged_at().expect("stabilizes") as f64
                 })

@@ -155,7 +155,11 @@ impl EffectTable {
             size,
             affect: vec![0; bits.div_ceil(64)],
             affect_edge: vec![0; bits.div_ceil(64)],
-            affect_rows: if size <= 32 { vec![0; size] } else { Vec::new() },
+            affect_rows: if size <= 32 {
+                vec![0; size]
+            } else {
+                Vec::new()
+            },
         };
         for a in 0..size {
             let sa = machine.state_at(a);
@@ -335,11 +339,9 @@ impl CompiledTable {
         for a in 0..size {
             for b in 0..size {
                 for link in [Link::Off, Link::On] {
-                    let Some(rhs) = protocol.lookup(
-                        StateId::new(a as u16),
-                        StateId::new(b as u16),
-                        link,
-                    ) else {
+                    let Some(rhs) =
+                        protocol.lookup(StateId::new(a as u16), StateId::new(b as u16), link)
+                    else {
                         continue;
                     };
                     slots[slot(size, a, b, link)] = match rhs {
@@ -411,7 +413,6 @@ impl CompiledTable {
     pub fn state_name(&self, s: StateId) -> &str {
         &self.state_names[s.index()]
     }
-
 }
 
 impl Machine for CompiledTable {

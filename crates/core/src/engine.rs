@@ -664,8 +664,7 @@ impl EffectIndex {
         let mut pairs = PairSet::new(n);
         for u in 0..n {
             for (v, active) in pop.edges().row(u) {
-                if v > u && table.can_affect(idx[u] as usize, idx[v] as usize, Link::from(active))
-                {
+                if v > u && table.can_affect(idx[u] as usize, idx[v] as usize, Link::from(active)) {
                     pairs.set(u, v, true);
                 }
             }
@@ -767,12 +766,7 @@ impl EffectIndex {
     }
 
     /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync.
-    fn reindex<M: EnumerableMachine>(
-        &mut self,
-        machine: &M,
-        pop: &Population<M::State>,
-        u: usize,
-    ) {
+    fn reindex<M: EnumerableMachine>(&mut self, machine: &M, pop: &Population<M::State>, u: usize) {
         let new = u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states");
         let old = self.idx[u];
         if old != new {
@@ -929,7 +923,14 @@ mod tests {
     fn hypergeometric_skip_brackets_the_survival_function() {
         // skip = t ⇔ S(t) ≥ u > S(t+1), for both the walk regime (dense
         // hits) and the bisection regime (sparse hits).
-        for &(r, k) in &[(10u64, 1u64), (10, 5), (10, 9), (400, 2), (400, 300), (5000, 3)] {
+        for &(r, k) in &[
+            (10u64, 1u64),
+            (10, 5),
+            (10, 9),
+            (400, 2),
+            (400, 300),
+            (5000, 3),
+        ] {
             for i in 0..200u64 {
                 let u = (i as f64 + 0.5) / 200.0;
                 let t = hypergeometric_skip(u, r, k);
@@ -971,9 +972,13 @@ mod tests {
 
     #[test]
     fn hypergeometric_count_inverts_the_cdf() {
-        for &(marked, total, draws) in
-            &[(3u64, 10u64, 4u64), (5, 12, 7), (1, 6, 5), (6, 9, 8), (4, 8, 4)]
-        {
+        for &(marked, total, draws) in &[
+            (3u64, 10u64, 4u64),
+            (5, 12, 7),
+            (1, 6, 5),
+            (6, 9, 8),
+            (4, 8, 4),
+        ] {
             for i in 0..400u64 {
                 let u = (i as f64 + 0.5) / 400.0;
                 let x = hypergeometric_count(u, marked, total, draws);
@@ -1054,7 +1059,9 @@ mod tests {
             assert_eq!(cache.p(), p);
             let mut raw = 0x9E3779B97F4A7C15u64;
             for _ in 0..4000 {
-                raw = raw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                raw = raw
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let direct = geometric_skip(unit_open01(raw), p);
                 match cache.lookup(raw) {
                     Some(hit) => assert_eq!(
@@ -1104,10 +1111,16 @@ mod tests {
             ..Bookkeeping::default()
         };
         b.record_effective(false);
-        assert_eq!((b.effective_steps, b.last_effective, b.edge_events), (1, 10, 0));
+        assert_eq!(
+            (b.effective_steps, b.last_effective, b.edge_events),
+            (1, 10, 0)
+        );
         b.steps = 17;
         b.record_effective(true);
-        assert_eq!((b.edge_events, b.last_output_change, b.last_effective), (1, 17, 17));
+        assert_eq!(
+            (b.edge_events, b.last_output_change, b.last_effective),
+            (1, 17, 17)
+        );
         assert_eq!(
             b.stabilized_now(),
             RunOutcome::Stabilized {

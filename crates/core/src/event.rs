@@ -57,8 +57,7 @@ use rand::{Rng, RngExt, SeedableRng};
 use crate::compiled::EnumerableMachine;
 use crate::driver::{sealed::Sealed, Kernel};
 use crate::engine::{
-    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot,
-    PairSet,
+    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot, PairSet,
 };
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
@@ -162,7 +161,10 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// more than 65536 states.
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
+        assert!(
+            pop.n() >= 2,
+            "pairwise interactions need at least 2 processes"
+        );
         assert!(
             machine.num_states() <= usize::from(u16::MAX) + 1,
             "EventSim's dense index is u16: more than 65536 states"
@@ -558,11 +560,9 @@ mod tests {
         for u in 0..pop.n() {
             for (v, active) in pop.edges().row(u) {
                 if v > u {
-                    let eff = sim.machine().can_affect(
-                        pop.state(u),
-                        pop.state(v),
-                        Link::from(active),
-                    );
+                    let eff =
+                        sim.machine()
+                            .can_affect(pop.state(u), pop.state(v), Link::from(active));
                     assert_eq!(sim.pairs.contains(u, v), eff, "pair ({u}, {v})");
                     expected += usize::from(eff);
                 }

@@ -885,10 +885,10 @@ mod tests {
         assert!(!a.is_empty(), "these rates produce ~150 expected events");
         assert!(a.events().iter().all(|&(t, _)| t < 50_000));
         assert!(a.events().windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(a.events().iter().all(|&(_, e)| matches!(
-            e,
-            FaultEvent::Arrive | FaultEvent::CrashRandom
-        )));
+        assert!(a
+            .events()
+            .iter()
+            .all(|&(_, e)| matches!(e, FaultEvent::Arrive | FaultEvent::CrashRandom)));
         // A different seed reshuffles the stream.
         assert_ne!(
             a,
@@ -962,7 +962,11 @@ mod tests {
             .compile(10);
         assert_eq!(plan.min_alive(), Some(6));
         assert_eq!(
-            ChurnPlan::new(5).departure_rate(1e-3).horizon(10_000).compile(10).min_alive(),
+            ChurnPlan::new(5)
+                .departure_rate(1e-3)
+                .horizon(10_000)
+                .compile(10)
+                .min_alive(),
             None
         );
     }

@@ -90,7 +90,11 @@ impl Cadence {
     #[must_use]
     pub fn decision_time(&self, k: u32) -> Option<u64> {
         match self {
-            Self::Periodic { start, every, count } => (k < *count)
+            Self::Periodic {
+                start,
+                every,
+                count,
+            } => (k < *count)
                 .then(|| start.saturating_add((*every).max(1).saturating_mul(u64::from(k)))),
             Self::Burst(times) => times.get(k as usize).copied(),
             Self::Ramp {
@@ -126,7 +130,9 @@ impl Cadence {
     /// Every scheduled decision time, in order.
     #[must_use]
     pub fn times(&self) -> Vec<u64> {
-        (0..self.count()).filter_map(|k| self.decision_time(k)).collect()
+        (0..self.count())
+            .filter_map(|k| self.decision_time(k))
+            .collect()
     }
 }
 
@@ -322,11 +328,11 @@ pub(crate) fn resolve_decision(
     let mut out = Vec::new();
     let mut spent = 0u64;
     let crash = |x: usize,
-                     adj: &mut Vec<Vec<usize>>,
-                     alive: &mut [bool],
-                     alive_count: &mut usize,
-                     out: &mut Vec<ResolvedFault>,
-                     spent: &mut u64| {
+                 adj: &mut Vec<Vec<usize>>,
+                 alive: &mut [bool],
+                 alive_count: &mut usize,
+                 out: &mut Vec<ResolvedFault>,
+                 spent: &mut u64| {
         alive[x] = false;
         *alive_count -= 1;
         for v in std::mem::take(&mut adj[x]) {
@@ -336,10 +342,10 @@ pub(crate) fn resolve_decision(
         *spent += 1;
     };
     let cut = |u: usize,
-                   v: usize,
-                   adj: &mut Vec<Vec<usize>>,
-                   out: &mut Vec<ResolvedFault>,
-                   spent: &mut u64| {
+               v: usize,
+               adj: &mut Vec<Vec<usize>>,
+               out: &mut Vec<ResolvedFault>,
+               spent: &mut u64| {
         adj[u].retain(|&w| w != v);
         adj[v].retain(|&w| w != u);
         out.push(ResolvedFault::DeleteEdge(u.min(v), u.max(v)));
@@ -514,7 +520,8 @@ mod tests {
     fn crash_max_degree_finds_the_hub_and_ties_break_low() {
         // Star centred at 2, plus an extra edge making node 0 degree 2.
         let sn = snap(5, &[0; 5], &[(2, 0), (2, 1), (2, 3), (2, 4), (0, 1)]);
-        let plan = AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashMaxDegree);
+        let plan =
+            AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashMaxDegree);
         let mut alive = vec![true; 5];
         let (out, spent) = run(&plan, &sn, &mut alive, None, u64::MAX);
         assert!(matches!(out[..], [ResolvedFault::Crash(2)]));
@@ -529,11 +536,16 @@ mod tests {
     #[test]
     fn crash_state_targets_by_dense_index_and_noops_when_absent() {
         let sn = snap(4, &[7, 3, 7, 3], &[]);
-        let plan = AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashState(3));
+        let plan =
+            AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashState(3));
         let mut alive = vec![true; 4];
         let (out, _) = run(&plan, &sn, &mut alive, None, u64::MAX);
-        assert!(matches!(out[..], [ResolvedFault::Crash(1)]), "lowest id in state 3");
-        let plan9 = AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashState(9));
+        assert!(
+            matches!(out[..], [ResolvedFault::Crash(1)]),
+            "lowest id in state 3"
+        );
+        let plan9 =
+            AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CrashState(9));
         let (out9, spent9) = run(&plan9, &sn, &mut alive, None, u64::MAX);
         assert!(out9.is_empty(), "no node in state 9");
         assert_eq!(spent9, 0, "a no-op strike costs nothing");
@@ -559,12 +571,16 @@ mod tests {
     fn cut_at_walker_severs_every_incident_edge() {
         // 2 is the "walker" (state 5) inside a path 0-1-2-3.
         let sn = snap(4, &[0, 0, 5, 0], &[(0, 1), (1, 2), (2, 3)]);
-        let plan = AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CutAtWalker(5));
+        let plan =
+            AdversaryPlan::new(Cadence::burst(vec![0])).policy(AdversaryPolicy::CutAtWalker(5));
         let mut alive = vec![true; 4];
         let (out, spent) = run(&plan, &sn, &mut alive, None, u64::MAX);
         assert!(matches!(
             out[..],
-            [ResolvedFault::DeleteEdge(1, 2), ResolvedFault::DeleteEdge(2, 3)]
+            [
+                ResolvedFault::DeleteEdge(1, 2),
+                ResolvedFault::DeleteEdge(2, 3)
+            ]
         ));
         assert_eq!(spent, 2);
         assert!(alive[2], "cutting never crashes");

@@ -134,12 +134,12 @@ pub use engine::{
 pub use event::{EventSim, EventStep};
 pub use fault::adversary::{AdversaryPlan, AdversaryPolicy, Cadence};
 pub use fault::{ChurnPlan, FaultEvent, FaultPlan, FaultState};
-pub use round::RoundSim;
-pub use round_bucket::RoundBucketSim;
-pub use select::{Engine, EngineView, SchedulerKind};
 pub use machine::Machine;
 pub use population::Population;
+pub use round::RoundSim;
+pub use round_bucket::RoundBucketSim;
 pub use rules::{ProtocolBuilder, ProtocolError, Rule, RuleProtocol, RuleRhs};
 pub use scheduler::{RoundRobin, Scheduler, ShuffledRounds, Uniform};
+pub use select::{Engine, EngineView, SchedulerKind};
 pub use sim::{RunOutcome, Simulation, StepResult};
 pub use state::{Link, StateId};

@@ -777,8 +777,12 @@ impl<M: EnumerableMachine> Kernel for RoundSim<M> {
                         if *self.pop.state(w) != s2 {
                             let old_w: Vec<u64> = self.pairs.row_bits(w).to_vec();
                             self.pop.set_state(w, s2);
-                            self.index
-                                .on_state_change(&self.machine, &self.pop, &mut self.pairs, w);
+                            self.index.on_state_change(
+                                &self.machine,
+                                &self.pop,
+                                &mut self.pairs,
+                                w,
+                            );
                             self.reclass_row(w, &old_w, None);
                         }
                     }
@@ -809,7 +813,9 @@ impl<M: EnumerableMachine> Kernel for RoundSim<M> {
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set.
     fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n()).map(|u| self.index.state_index(u)).collect();
+        let states = (0..self.pop.n())
+            .map(|u| self.index.state_index(u))
+            .collect();
         ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }
 }
@@ -956,8 +962,7 @@ mod tests {
         let mean = |round: bool| -> f64 {
             (0..trials)
                 .map(|seed| {
-                    let stable =
-                        |p: &Population<crate::StateId>| is_maximum_matching(p.edges());
+                    let stable = |p: &Population<crate::StateId>| is_maximum_matching(p.edges());
                     let out = if round {
                         RoundSim::new(matching_protocol(), 12, 1000 + seed)
                             .run_until_edges(stable, u64::MAX)

@@ -946,7 +946,8 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     fn pool_pull(&mut self) -> bool {
         self.resolve_pool();
         debug_assert!(self.pool_cnt > 0);
-        let unsched = self.pool_unc == self.pool_cnt || self.rng.random_range(0..self.pool_cnt) < self.pool_unc;
+        let unsched = self.pool_unc == self.pool_cnt
+            || self.rng.random_range(0..self.pool_cnt) < self.pool_unc;
         self.pool_cnt -= 1;
         if unsched {
             self.pool_unc -= 1;
@@ -1002,7 +1003,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
                 .can_affect(self.sp.state_index(a), self.sp.state_index(b), link);
         let mut pos = 0u32;
         if !sched {
-            let list = if cand { &mut self.x_c_u } else { &mut self.x_nc_u };
+            let list = if cand {
+                &mut self.x_c_u
+            } else {
+                &mut self.x_nc_u
+            };
             pos = list.len() as u32;
             list.push(pkey(a, b));
         } else if cand {
@@ -1018,7 +1023,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// (`cand_list`) or non-candidate list, fixing the moved pair's
     /// mirrored position. Returns the removed key.
     fn x_list_remove(&mut self, cand_list: bool, pos: usize) -> u64 {
-        let list = if cand_list { &mut self.x_c_u } else { &mut self.x_nc_u };
+        let list = if cand_list {
+            &mut self.x_c_u
+        } else {
+            &mut self.x_nc_u
+        };
         let key = list.swap_remove(pos);
         if pos < list.len() {
             let moved = list[pos];
@@ -1052,7 +1061,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         } else {
             let removed = self.x_list_remove(!cand, xp.pos as usize);
             debug_assert_eq!(removed, key);
-            let list = if cand { &mut self.x_c_u } else { &mut self.x_nc_u };
+            let list = if cand {
+                &mut self.x_c_u
+            } else {
+                &mut self.x_nc_u
+            };
             let npos = list.len() as u32;
             list.push(key);
             let e = self.x.get_mut(&key).unwrap();
@@ -1081,7 +1094,8 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             let Some(urn) = self.urns.get(&key) else {
                 continue;
             };
-            let new_cand = self.alive[u] && self.table.can_affect(self.sp.state_index(u), q, Link::Off);
+            let new_cand =
+                self.alive[u] && self.table.can_affect(self.sp.state_index(u), q, Link::Off);
             if urn.cand == new_cand {
                 continue;
             }
@@ -1534,7 +1548,7 @@ mod tests {
     use super::*;
     use crate::driver::contract;
     use crate::Driver;
-    use crate::{ProtocolBuilder, RuleProtocol, RoundSim};
+    use crate::{ProtocolBuilder, RoundSim, RuleProtocol};
 
     const OFF: Link = Link::Off;
     const ON: Link = Link::On;
@@ -1673,10 +1687,8 @@ mod tests {
                         RoundBucketSim::new(matching_protocol(), 12, 1000 + seed)
                             .run_until_edges(|sp| sp.active_count() == 6, u64::MAX)
                     } else {
-                        RoundSim::new(matching_protocol(), 12, 2000 + seed).run_until_edges(
-                            |p| p.edges().active_count() == 6,
-                            u64::MAX,
-                        )
+                        RoundSim::new(matching_protocol(), 12, 2000 + seed)
+                            .run_until_edges(|p| p.edges().active_count() == 6, u64::MAX)
                     };
                     out.converged_at().expect("stabilizes") as f64
                 })

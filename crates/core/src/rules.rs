@@ -114,12 +114,18 @@ impl fmt::Display for ProtocolError {
                 write!(f, "conflicting rules defined for triple {t}")
             }
             ProtocolError::BadWeights(t) => {
-                write!(f, "randomized rule for {t} has no positive-weight alternatives")
+                write!(
+                    f,
+                    "randomized rule for {t} has no positive-weight alternatives"
+                )
             }
             ProtocolError::NoStates => write!(f, "protocol declares no states"),
             ProtocolError::NoOutputStates => write!(f, "protocol declares no output states"),
             ProtocolError::ConflictingNotify(s) => {
-                write!(f, "conflicting crash-notification transitions for state {s}")
+                write!(
+                    f,
+                    "conflicting crash-notification transitions for state {s}"
+                )
             }
         }
     }
@@ -186,9 +192,8 @@ impl ProtocolBuilder {
         if let Some(&id) = self.by_name.get(&name) {
             return id;
         }
-        let id = StateId::new(
-            u16::try_from(self.state_names.len()).expect("more than 65535 states"),
-        );
+        let id =
+            StateId::new(u16::try_from(self.state_names.len()).expect("more than 65535 states"));
         self.by_name.insert(name.clone(), id);
         self.state_names.push(name);
         id
@@ -587,10 +592,7 @@ mod tests {
         let c = b.state("c");
         b.rule((a, c, OFF), (a, a, ON));
         b.rule((c, a, OFF), (a, a, OFF));
-        assert!(matches!(
-            b.build(),
-            Err(ProtocolError::ConflictingRules(_))
-        ));
+        assert!(matches!(b.build(), Err(ProtocolError::ConflictingRules(_))));
     }
 
     #[test]

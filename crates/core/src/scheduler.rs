@@ -216,7 +216,11 @@ mod tests {
         let pairs = collect_pairs(ShuffledRounds::new(), n, 3 * m);
         for round in pairs.chunks(m) {
             let distinct: std::collections::HashSet<_> = round.iter().copied().collect();
-            assert_eq!(distinct.len(), m, "each round is a permutation of all pairs");
+            assert_eq!(
+                distinct.len(),
+                m,
+                "each round is a permutation of all pairs"
+            );
         }
     }
 

@@ -129,9 +129,7 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn count_index(&self, s: usize) -> usize {
         match self {
-            Self::Dense { pop, machine } => {
-                pop.count_where(|st| machine.state_index(st) == s)
-            }
+            Self::Dense { pop, machine } => pop.count_where(|st| machine.state_index(st) == s),
             Self::Sparse { sp, .. } => sp.count_index(s),
         }
     }
@@ -141,9 +139,7 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn nodes_index(&self, s: usize) -> Vec<usize> {
         match self {
-            Self::Dense { pop, machine } => {
-                pop.nodes_where(|st| machine.state_index(st) == s)
-            }
+            Self::Dense { pop, machine } => pop.nodes_where(|st| machine.state_index(st) == s),
             Self::Sparse { sp, .. } => sp.nodes_index(s).iter().map(|&u| u as usize).collect(),
         }
     }
@@ -386,8 +382,7 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
                     let sim = Box::new(RoundSim::new_faulted(machine.clone(), n, seed, plan));
                     Engine::Round { sim, machine }
                 } else {
-                    let sim =
-                        Box::new(RoundBucketSim::new_faulted(machine.clone(), n, seed, plan));
+                    let sim = Box::new(RoundBucketSim::new_faulted(machine.clone(), n, seed, plan));
                     Engine::RoundSparse { sim, machine }
                 }
             }
@@ -582,7 +577,8 @@ mod tests {
 
     #[test]
     fn scheduler_kind_routes_round_engines() {
-        let round = Engine::with_budget_for(matching(), 30, 1, u64::MAX, SchedulerKind::ShuffledRounds);
+        let round =
+            Engine::with_budget_for(matching(), 30, 1, u64::MAX, SchedulerKind::ShuffledRounds);
         assert_eq!(round.kind(), "round-dense");
         assert_eq!(round.scheduler(), SchedulerKind::ShuffledRounds);
         assert!(!round.is_sparse());
@@ -674,8 +670,7 @@ mod tests {
             (1, SchedulerKind::ShuffledRounds, "round-sparse"),
         ];
         for (budget, family, kind) in configs {
-            let mut eng =
-                Engine::with_budget_for_faulted(matching(), 9, 3, budget, family, plan());
+            let mut eng = Engine::with_budget_for_faulted(matching(), 9, 3, budget, family, plan());
             assert_eq!(eng.kind(), kind);
             let out = eng.run_faulted_until(|v, _| v.active_count() == 4, 10_000_000);
             assert!(out.stabilized(), "{kind}: {out:?}");

@@ -241,7 +241,10 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
         seed: u64,
         scheduler: S,
     ) -> Self {
-        assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
+        assert!(
+            pop.n() >= 2,
+            "pairwise interactions need at least 2 processes"
+        );
         Self {
             machine,
             scheduler,
@@ -495,9 +498,11 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
             for (v, active) in self.pop.edges().row(u) {
                 if v > u
                     && self.faults.as_ref().is_none_or(|fs| fs.is_alive(v))
-                    && self
-                        .machine
-                        .can_affect(self.pop.state(u), self.pop.state(v), Link::from(active))
+                    && self.machine.can_affect(
+                        self.pop.state(u),
+                        self.pop.state(v),
+                        Link::from(active),
+                    )
                 {
                     return false;
                 }
@@ -665,7 +670,10 @@ impl<M: EnumerableMachine, S: Scheduler> Simulation<M, S> {
         mut stable: impl FnMut(&Population<M::State>, &FaultState) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
+        assert!(
+            self.faults.is_some(),
+            "run_faulted_until needs a fault plan"
+        );
         self.apply_due_faults();
         loop {
             let next = self.faults.as_ref().and_then(FaultState::next_at);
@@ -771,8 +779,7 @@ mod tests {
 
     #[test]
     fn works_under_round_robin() {
-        let mut sim =
-            Simulation::with_scheduler(matching_protocol(), 12, 3, RoundRobin::new());
+        let mut sim = Simulation::with_scheduler(matching_protocol(), 12, 3, RoundRobin::new());
         let outcome = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
         assert!(outcome.stabilized());
     }
@@ -820,7 +827,11 @@ mod tests {
                 let event =
                     crate::EventSim::from_population(p.clone(), sim.population().clone(), 0);
                 assert_eq!(sim.is_quiescent(), event.is_quiescent(), "seed {seed}");
-                assert_eq!(sim.is_edge_quiescent(), event.is_edge_quiescent(), "seed {seed}");
+                assert_eq!(
+                    sim.is_edge_quiescent(),
+                    event.is_edge_quiescent(),
+                    "seed {seed}"
+                );
                 saw[usize::from(sim.is_quiescent())] = true;
             }
         }

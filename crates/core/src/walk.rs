@@ -77,8 +77,7 @@ pub fn exit_cdf(z: usize, len: usize, exit0: bool, t: u64) -> f64 {
         // flips the sign of odd/even modes relative to the near end.
         let s_hit = if exit0 || j % 2 == 1 { s_end } else { -s_end };
         let lam = (std::f64::consts::PI * jf / lf).cos();
-        tail += (std::f64::consts::PI * jf * z as f64 / lf).sin() * s_hit * lam_pow_t
-            / (1.0 - lam);
+        tail += (std::f64::consts::PI * jf * z as f64 / lf).sin() * s_hit * lam_pow_t / (1.0 - lam);
     });
     (limit - tail / lf).clamp(0.0, 1.0)
 }
@@ -149,13 +148,7 @@ pub fn alive_weights(z: usize, len: usize, t: u64) -> Vec<f64> {
 /// committed to absorb at side `exit0` after `rem` further steps:
 /// `w[x] = Pʲ(z, x) · f_E(x, rem)`.
 #[must_use]
-pub fn bridge_weights_with_future(
-    z: usize,
-    len: usize,
-    j: u64,
-    rem: u64,
-    exit0: bool,
-) -> Vec<f64> {
+pub fn bridge_weights_with_future(z: usize, len: usize, j: u64, rem: u64, exit0: bool) -> Vec<f64> {
     let mut w = propagator_row(z, len, j);
     for (x, wx) in w.iter_mut().enumerate() {
         if *wx > 0.0 {
@@ -291,7 +284,11 @@ fn spectral_terms(len: usize, t: u64, mut f: impl FnMut(usize, f64)) {
                 0.0
             } else {
                 let mag = p.exp();
-                if lam < 0.0 && t % 2 == 1 { -mag } else { mag }
+                if lam < 0.0 && t % 2 == 1 {
+                    -mag
+                } else {
+                    mag
+                }
             }
         };
         if lam_pow_t != 0.0 {
@@ -317,7 +314,11 @@ fn spectral_terms(len: usize, t: u64, mut f: impl FnMut(usize, f64)) {
 fn dp_exit_cdf(z: usize, len: usize, exit0: bool, t: u64) -> f64 {
     let (row, g0, gl) = dp_evolve(z, len, t);
     drop(row);
-    if exit0 { g0 } else { gl }
+    if exit0 {
+        g0
+    } else {
+        gl
+    }
 }
 
 fn dp_alive_row(z: usize, len: usize, t: u64) -> Vec<f64> {
@@ -712,7 +713,10 @@ mod tests {
             }
             let var = m2 / trials as f64;
             let se = (lambda / trials as f64).sqrt();
-            assert!((mean - lambda).abs() < 5.0 * se + 0.5, "λ={lambda}: mean {mean}");
+            assert!(
+                (mean - lambda).abs() < 5.0 * se + 0.5,
+                "λ={lambda}: mean {mean}"
+            );
             assert!((var / lambda - 1.0).abs() < 0.2, "λ={lambda}: var {var}");
         }
     }

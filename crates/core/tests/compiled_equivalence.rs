@@ -45,7 +45,8 @@ fn arb_protocol() -> impl Strategy<Value = RuleProtocol> {
                 b.rule_random((a, c, link), alts);
             }
         }
-        b.build().expect("distinct unordered triples are always valid")
+        b.build()
+            .expect("distinct unordered triples are always valid")
     })
 }
 

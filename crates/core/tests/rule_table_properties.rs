@@ -32,7 +32,8 @@ fn arb_protocol() -> impl Strategy<Value = RuleProtocol> {
             );
             b.rule((a, c, link), rhs);
         }
-        b.build().expect("distinct unordered triples are always valid")
+        b.build()
+            .expect("distinct unordered triples are always valid")
     })
 }
 
@@ -130,7 +131,11 @@ fn collect_valid_pairs<S: Scheduler>(
     for _ in 0..steps {
         let (u, v) = s.next_pair(n, &mut rng);
         prop_assert!(u != v, "{}: self-interaction ({u}, {u})", s.name());
-        prop_assert!(u < n && v < n, "{}: pair ({u}, {v}) out of range n={n}", s.name());
+        prop_assert!(
+            u < n && v < n,
+            "{}: pair ({u}, {v}) out of range n={n}",
+            s.name()
+        );
         pairs.push((u.min(v), u.max(v)));
     }
     Ok(pairs)

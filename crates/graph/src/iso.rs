@@ -97,9 +97,9 @@ fn assign(
             continue;
         }
         // Consistency with already-mapped nodes.
-        let consistent = order[..depth].iter().all(|&x| {
-            a.is_active(u, x) == b.is_active(w, mapping[x])
-        });
+        let consistent = order[..depth]
+            .iter()
+            .all(|&x| a.is_active(u, x) == b.is_active(w, mapping[x]));
         if !consistent {
             continue;
         }

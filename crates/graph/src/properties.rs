@@ -113,10 +113,7 @@ pub fn is_krc_relaxed(es: &EdgeSet, k: u32) -> bool {
         return false;
     }
     let l = low.len();
-    l <= (k as usize).saturating_sub(1)
-        && low
-            .iter()
-            .all(|&d| d + 1 >= l as u32 && d < k)
+    l <= (k as usize).saturating_sub(1) && low.iter().all(|&d| d + 1 >= l as u32 && d < k)
 }
 
 /// Whether the active graph partitions the population into `⌊n/c⌋` cliques
@@ -141,9 +138,9 @@ pub fn is_clique_partition(es: &EdgeSet, c: usize) -> bool {
 
 /// Whether `comp` (a connected component of `es`) is a clique.
 fn is_clique_component(es: &EdgeSet, comp: &[usize]) -> bool {
-    comp.iter().enumerate().all(|(i, &u)| {
-        comp[i + 1..].iter().all(|&v| es.is_active(u, v))
-    })
+    comp.iter()
+        .enumerate()
+        .all(|(i, &u)| comp[i + 1..].iter().all(|&v| es.is_active(u, v)))
 }
 
 /// Whether the active graph is a *maximum matching*: `⌊n/2⌋` disjoint
@@ -217,7 +214,10 @@ mod tests {
         let star = EdgeSet::from_edges(5, (1..5).map(|v| (0, v)));
         assert!(is_spanning_star(&star));
         assert!(is_spanning_star(&path(2)));
-        assert!(is_spanning_star(&path(3)), "P3 = K_{{1,2}} is both a line and a star");
+        assert!(
+            is_spanning_star(&path(3)),
+            "P3 = K_{{1,2}} is both a line and a star"
+        );
         assert!(!is_spanning_star(&path(4)));
         let mut broken = star.clone();
         broken.activate(1, 2);

@@ -90,9 +90,9 @@ impl Process {
     #[must_use]
     pub fn theory(self) -> &'static str {
         match self {
-            Process::OneWayEpidemic
-            | Process::OneToAllElimination
-            | Process::NodeCover => "Θ(n log n)",
+            Process::OneWayEpidemic | Process::OneToAllElimination | Process::NodeCover => {
+                "Θ(n log n)"
+            }
             Process::OneToOneElimination | Process::MaximumMatching => "Θ(n²)",
             Process::MeetEverybody | Process::EdgeCover => "Θ(n² log n)",
         }
@@ -103,9 +103,7 @@ impl Process {
     #[must_use]
     pub fn theory_exponent(self) -> f64 {
         match self {
-            Process::OneWayEpidemic
-            | Process::OneToAllElimination
-            | Process::NodeCover => 1.0,
+            Process::OneWayEpidemic | Process::OneToAllElimination | Process::NodeCover => 1.0,
             Process::OneToOneElimination | Process::MaximumMatching => 2.0,
             Process::MeetEverybody | Process::EdgeCover => 2.0,
         }
@@ -186,9 +184,7 @@ impl Process {
             Process::OneWayEpidemic => pop.count_where(|s| *s != A) == 0,
             Process::OneToOneElimination => pop.count_where(|s| *s == A) == 1,
             Process::MaximumMatching => is_maximum_matching(pop.edges()),
-            Process::OneToAllElimination | Process::NodeCover => {
-                pop.count_where(|s| *s == A) == 0
-            }
+            Process::OneToAllElimination | Process::NodeCover => pop.count_where(|s| *s == A) == 0,
             Process::MeetEverybody => pop.count_where(|s| *s == B) == 0,
             Process::EdgeCover => pop.edges().active_count() == pop.edges().pair_count(),
         }
@@ -210,9 +206,12 @@ impl Process {
         let nf = n as f64;
         let budget = (200.0 * nf * nf * nf.ln().max(1.0).powi(2)) as u64 + 100_000;
         let outcome = sim.run_until(|p| self.is_done(p), budget);
-        outcome
-            .last_effective()
-            .unwrap_or_else(|| panic!("{} did not converge on n={n} within {budget} steps", self.name()))
+        outcome.last_effective().unwrap_or_else(|| {
+            panic!(
+                "{} did not converge on n={n} within {budget} steps",
+                self.name()
+            )
+        })
     }
 }
 
@@ -225,7 +224,11 @@ mod tests {
         for p in Process::all() {
             for n in [2, 3, 8, 16] {
                 let steps = p.measure(n, 42);
-                assert!(steps > 0 || n == 1, "{} produced zero steps at n={n}", p.name());
+                assert!(
+                    steps > 0 || n == 1,
+                    "{} produced zero steps at n={n}",
+                    p.name()
+                );
             }
         }
     }
@@ -281,9 +284,7 @@ mod tests {
         // At a fixed n the Θ(n log n) processes must be far faster than
         // the Θ(n² log n) ones; aggregate over a few seeds for stability.
         let n = 64;
-        let avg = |p: Process| -> f64 {
-            (0..5).map(|s| p.measure(n, s) as f64).sum::<f64>() / 5.0
-        };
+        let avg = |p: Process| -> f64 { (0..5).map(|s| p.measure(n, s) as f64).sum::<f64>() / 5.0 };
         let epidemic = avg(Process::OneWayEpidemic);
         let elim = avg(Process::OneToOneElimination);
         let edge_cover = avg(Process::EdgeCover);

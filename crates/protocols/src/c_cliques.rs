@@ -112,7 +112,10 @@ impl States {
 /// Panics if `c < 3`.
 #[must_use]
 pub fn protocol(c: u16) -> RuleProtocol {
-    assert!(c >= 3, "c-Cliques requires c >= 3; use a matching for c = 2");
+    assert!(
+        c >= 3,
+        "c-Cliques requires c >= 3; use a matching for c = 2"
+    );
     let mut b = ProtocolBuilder::new(format!("{c}-Cliques"));
     let st = States { c };
     // Declare all states in layout order so the handles above are valid.
@@ -138,7 +141,10 @@ pub fn protocol(c: u16) -> RuleProtocol {
 
     // Growth by attracting isolated nodes.
     for i in 0..c - 2 {
-        b.rule((st.leader(i), st.leader(0), off), (st.leader(i + 1), st.follower(), on));
+        b.rule(
+            (st.leader(i), st.leader(0), off),
+            (st.leader(i + 1), st.follower(), on),
+        );
     }
     b.rule(
         (st.leader(c - 2), st.leader(0), off),
@@ -147,7 +153,10 @@ pub fn protocol(c: u16) -> RuleProtocol {
     // Nondeterministic elimination of incomplete components.
     for j in 1..=c - 2 {
         for i in j..c - 2 {
-            b.rule((st.leader(i), st.leader(j), off), (st.leader(i + 1), st.captured(j), on));
+            b.rule(
+                (st.leader(i), st.leader(j), off),
+                (st.leader(i + 1), st.captured(j), on),
+            );
         }
         b.rule(
             (st.leader(c - 2), st.leader(j), off),
@@ -156,33 +165,57 @@ pub fn protocol(c: u16) -> RuleProtocol {
     }
     // A captured leader releases its followers one by one.
     for i in 2..=c - 2 {
-        b.rule((st.captured(i), st.follower(), on), (st.captured(i - 1), st.leader(0), off));
+        b.rule(
+            (st.captured(i), st.follower(), on),
+            (st.captured(i - 1), st.leader(0), off),
+        );
     }
-    b.rule((st.captured(1), st.follower(), on), (st.follower(), st.leader(0), off));
+    b.rule(
+        (st.captured(1), st.follower(), on),
+        (st.follower(), st.leader(0), off),
+    );
     // The leader of a complete component numbers its followers.
     for i in 0..c - 2 {
-        b.rule((st.numbering(i), st.follower(), on), (st.numbering(i + 1), st.numbered(1), on));
+        b.rule(
+            (st.numbering(i), st.follower(), on),
+            (st.numbering(i + 1), st.numbered(1), on),
+        );
     }
-    b.rule((st.numbering(c - 2), st.follower(), on), (st.patrol(), st.numbered(1), on));
+    b.rule(
+        (st.numbering(c - 2), st.follower(), on),
+        (st.patrol(), st.numbered(1), on),
+    );
     // Followers connect, keeping count of their connections.
     for i in 1..c - 1 {
         for j in 1..c - 1 {
-            b.rule((st.numbered(i), st.numbered(j), off), (st.numbered(i + 1), st.numbered(j + 1), on));
+            b.rule(
+                (st.numbered(i), st.numbered(j), off),
+                (st.numbered(i + 1), st.numbered(j + 1), on),
+            );
         }
     }
     // The leader patrols: swap into a follower's position…
     for i in 1..=c - 1 {
-        b.rule((st.patrol(), st.numbered(i), on), (st.rest(), st.checking(i), on));
+        b.rule(
+            (st.patrol(), st.numbered(i), on),
+            (st.rest(), st.checking(i), on),
+        );
     }
     // …two patrolling leaders on an active edge found a wrong connection…
     for i in 2..=c - 1 {
         for j in 2..=c - 1 {
-            b.rule((st.checking(i), st.checking(j), on), (st.checking(i - 1), st.checking(j - 1), off));
+            b.rule(
+                (st.checking(i), st.checking(j), on),
+                (st.checking(i - 1), st.checking(j - 1), off),
+            );
         }
     }
     // …and the leader returns home nondeterministically.
     for i in 1..=c - 1 {
-        b.rule((st.checking(i), st.rest(), on), (st.numbered(i), st.patrol(), on));
+        b.rule(
+            (st.checking(i), st.rest(), on),
+            (st.numbered(i), st.patrol(), on),
+        );
     }
     b.build().expect("Protocol 8 is well-formed")
 }
@@ -250,13 +283,27 @@ mod tests {
     #[test]
     fn partitions_with_leftover() {
         // n = 3·2 + 2 leaves a residue of 2 nodes.
-        let sim = assert_stabilizes(protocol(3), 8, 1, |p| is_stable(p, 3), 2_000_000_000, 60_000);
+        let sim = assert_stabilizes(
+            protocol(3),
+            8,
+            1,
+            |p| is_stable(p, 3),
+            2_000_000_000,
+            60_000,
+        );
         assert!(is_clique_partition(sim.population().edges(), 3));
     }
 
     #[test]
     fn partitions_into_k4() {
-        let sim = assert_stabilizes(protocol(4), 8, 5, |p| is_stable(p, 4), 4_000_000_000, 60_000);
+        let sim = assert_stabilizes(
+            protocol(4),
+            8,
+            5,
+            |p| is_stable(p, 4),
+            4_000_000_000,
+            60_000,
+        );
         assert!(is_clique_partition(sim.population().edges(), 4));
     }
 

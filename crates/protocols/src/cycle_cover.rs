@@ -134,7 +134,11 @@ mod tests {
         assert_eq!(eng.to_population().edges().active_count(), n - 1);
         let eff = eng.effective_steps();
         eng.run_faulted_to(eng.steps() + 2_000_000);
-        assert_eq!(eng.effective_steps(), eff, "no Cycle-Cover rule mentions q2");
+        assert_eq!(
+            eng.effective_steps(),
+            eff,
+            "no Cycle-Cover rule mentions q2"
+        );
     }
 
     #[test]
@@ -178,7 +182,11 @@ mod tests {
                     2 => Q2,
                     _ => panic!("degree {d} impossible under Cycle-Cover"),
                 };
-                assert_eq!(*pop.state(u), expect, "state of node {u} must encode degree");
+                assert_eq!(
+                    *pop.state(u),
+                    expect,
+                    "state of node {u} must encode degree"
+                );
             }
         }
     }

@@ -150,8 +150,7 @@ mod tests {
         // asymptotic separation (O(n³) vs Ω(n⁴)) only emerges at larger n
         // and is measured by the Table 2 bench, not asserted here (the
         // PODC'14 constants actually favour Simple-Global-Line at small n).
-        let steps = |p: netcon_core::RuleProtocol,
-                     stable: fn(&Population<StateId>) -> bool| {
+        let steps = |p: netcon_core::RuleProtocol, stable: fn(&Population<StateId>) -> bool| {
             let mut total = 0u64;
             for seed in 0..5 {
                 let mut sim = Simulation::new(p.clone(), 24, seed);

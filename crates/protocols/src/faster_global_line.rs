@@ -78,7 +78,14 @@ mod tests {
         let p = protocol();
         assert_eq!(p.size(), 6);
         assert_eq!(p.rules().len(), 6);
-        for (name, id) in [("q0", Q0), ("q1", Q1), ("q2", Q2), ("q", Q), ("l", L), ("f", F)] {
+        for (name, id) in [
+            ("q0", Q0),
+            ("q1", Q1),
+            ("q2", Q2),
+            ("q", Q),
+            ("l", L),
+            ("f", F),
+        ] {
             assert_eq!(p.state(name), Some(id));
         }
     }

@@ -273,7 +273,10 @@ mod tests {
         let stranded: Vec<usize> = (0..n)
             .filter(|&u| *pop.state(u) == W && pop.edges().degree(u) == 0)
             .collect();
-        assert!(!stranded.is_empty(), "a walker is stuck in `w` with no edges");
+        assert!(
+            !stranded.is_empty(),
+            "a walker is stuck in `w` with no edges"
+        );
     }
 
     #[test]

@@ -186,7 +186,9 @@ mod tests {
             eng.run_until(|v| v.count_index(0) == 1, 1_000_000_000)
                 .converged_at()
                 .expect("Global-Star elects a centre");
-            let plain = eng.to_population().nodes_where(|s| *s == crate::global_star::C)[0];
+            let plain = eng
+                .to_population()
+                .nodes_where(|s| *s == crate::global_star::C)[0];
             assert_eq!(centre, plain, "FT-Star's fault-free run is Global-Star's");
         }
         let plan = FaultPlan::new(8).at(u64::MAX, FaultEvent::Crash(centre as u32));

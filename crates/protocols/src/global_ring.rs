@@ -138,8 +138,7 @@ mod tests {
     fn constructs_spanning_ring() {
         for n in [3, 4, 5, 8, 12] {
             for seed in 0..3 {
-                let sim =
-                    assert_stabilizes(protocol(), n, seed, is_stable, 300_000_000, 60_000);
+                let sim = assert_stabilizes(protocol(), n, seed, is_stable, 300_000_000, 60_000);
                 assert!(is_spanning_ring(sim.population().edges()));
                 assert!(sim.is_quiescent(), "stable ring quiesces");
             }

@@ -50,9 +50,7 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
     let centres = v.nodes_index(0);
-    centres.len() == 1
-        && v.active_count() == v.n() - 1
-        && v.degree(centres[0]) == v.n() - 1
+    centres.len() == 1 && v.active_count() == v.n() - 1 && v.degree(centres[0]) == v.n() - 1
 }
 
 /// [`is_stable_view`] relative to the alive population of a faulted run:
@@ -189,7 +187,11 @@ mod tests {
         // and no rule has a `p`-only left side that creates anything.
         let eff = eng.effective_steps();
         eng.run_faulted_to(eng.steps() + 2_000_000);
-        assert_eq!(eng.effective_steps(), eff, "no rule fires among peripherals");
+        assert_eq!(
+            eng.effective_steps(),
+            eff,
+            "no rule fires among peripherals"
+        );
         assert_eq!(eng.to_population().edges().active_count(), 0);
     }
 
@@ -225,7 +227,11 @@ mod tests {
         );
         let eff = eng.effective_steps();
         eng.run_faulted_to(eng.steps() + 2_000_000);
-        assert_eq!(eng.effective_steps(), eff, "no rule fires among peripherals");
+        assert_eq!(
+            eng.effective_steps(),
+            eff,
+            "no rule fires among peripherals"
+        );
     }
 
     #[test]

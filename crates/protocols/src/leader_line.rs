@@ -91,8 +91,7 @@ mod tests {
         let trials = 5;
         let leader: u64 = (0..trials)
             .map(|seed| {
-                let mut sim =
-                    Simulation::from_population(protocol(), initial_population(n), seed);
+                let mut sim = Simulation::from_population(protocol(), initial_population(n), seed);
                 sim.run_until(is_stable, u64::MAX)
                     .converged_at()
                     .expect("stabilizes")
@@ -100,11 +99,7 @@ mod tests {
             .sum();
         let simple: u64 = (0..trials)
             .map(|seed| {
-                let mut sim = Simulation::new(
-                    crate::simple_global_line::protocol(),
-                    n,
-                    seed,
-                );
+                let mut sim = Simulation::new(crate::simple_global_line::protocol(), n, seed);
                 sim.run_until(crate::simple_global_line::is_stable, u64::MAX)
                     .converged_at()
                     .expect("stabilizes")

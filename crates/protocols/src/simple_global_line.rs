@@ -133,10 +133,7 @@ pub fn census(pop: &Population<StateId>) -> Census {
             .filter(|&&u| *pop.state(u) == L || *pop.state(u) == W)
             .count();
         assert_eq!(leaders, 1, "every line has exactly one leader: {comp:?}");
-        let endpoints = comp
-            .iter()
-            .filter(|&&u| pop.edges().degree(u) == 1)
-            .count();
+        let endpoints = comp.iter().filter(|&&u| pop.edges().degree(u) == 1).count();
         assert_eq!(endpoints, 2, "component is not a line: {comp:?}");
         if comp.iter().any(|&u| *pop.state(u) == W) {
             out.lines_with_walking_leader += 1;

@@ -151,8 +151,14 @@ fn stability_predicates_reject_initial_configurations() {
         faster_global_line::Q0
     )));
     assert!(!global_star::is_stable(&Population::new(n, global_star::C)));
-    assert!(!global_ring::is_stable(&Population::new(n, global_ring::Q0)));
-    assert!(!cycle_cover::is_stable(&Population::new(n, cycle_cover::Q0)));
+    assert!(!global_ring::is_stable(&Population::new(
+        n,
+        global_ring::Q0
+    )));
+    assert!(!cycle_cover::is_stable(&Population::new(
+        n,
+        cycle_cover::Q0
+    )));
     let krc_init: Population<StateId> = Population::new(n, krc::States { k: 2 }.q(0));
     assert!(!krc::is_stable(&krc_init, 2));
 }

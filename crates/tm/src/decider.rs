@@ -167,14 +167,19 @@ pub struct MinEdges {
 
 impl std::fmt::Debug for MinEdges {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MinEdges").field("name", &self.name).finish()
+        f.debug_struct("MinEdges")
+            .field("name", &self.name)
+            .finish()
     }
 }
 
 impl MinEdges {
     /// A language of graphs with at least `threshold(n)` edges.
     #[must_use]
-    pub fn new(name: impl Into<String>, threshold: impl Fn(usize) -> usize + Send + Sync + 'static) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        threshold: impl Fn(usize) -> usize + Send + Sync + 'static,
+    ) -> Self {
         Self {
             threshold: Box::new(threshold),
             name: name.into(),
@@ -337,12 +342,7 @@ impl GraphLanguage for Hamiltonian {
         let mut path = ws.ints(n, index_width(n));
         used[0] = true;
         path[0] = 0;
-        fn extend(
-            g: &AdjMatrix,
-            used: &mut [bool],
-            path: &mut [usize],
-            depth: usize,
-        ) -> bool {
+        fn extend(g: &AdjMatrix, used: &mut [bool], path: &mut [usize], depth: usize) -> bool {
             let n = g.n();
             if depth == n {
                 return g.get(path[n - 1], path[0]);

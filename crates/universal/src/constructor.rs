@@ -210,10 +210,7 @@ impl UniversalConstructor {
     #[must_use]
     pub fn initial_population(m: usize) -> Population<UcState> {
         assert!(m >= 2, "the constructor needs at least two columns");
-        let mut pop = Population::new(
-            2 * m,
-            UcState::D(DNode { mark: DMark::None }),
-        );
+        let mut pop = Population::new(2 * m, UcState::D(DNode { mark: DMark::None }));
         pop.set_state(
             0,
             UcState::Leader(Leader {
@@ -253,7 +250,9 @@ impl UniversalConstructor {
             Phase::Measure => Job::MeasureOut { count: 1 },
             Phase::Draw => {
                 if leader.i == 0 {
-                    Job::DrawOutSecond { remaining: leader.j }
+                    Job::DrawOutSecond {
+                        remaining: leader.j,
+                    }
                 } else {
                     Job::DrawOutFirst {
                         remaining: leader.i,
@@ -353,8 +352,12 @@ impl UniversalConstructor {
                     // far end is adjacent to the leader and the release
                     // sweep turns around at delivery.
                     let job = if p.is_far_end
-                        && matches!(job, Job::ReleaseOut { released_here: true })
-                    {
+                        && matches!(
+                            job,
+                            Job::ReleaseOut {
+                                released_here: true
+                            }
+                        ) {
                         Job::ReleaseBack
                     } else {
                         job.clone()
@@ -374,9 +377,7 @@ impl UniversalConstructor {
                 // Launch a token if the phase calls for one.
                 let ready = match l.phase {
                     Phase::Measure => !l.token_out,
-                    Phase::Draw => {
-                        !l.token_out && (l.i != 0 || l.self_marked)
-                    }
+                    Phase::Draw => !l.token_out && (l.i != 0 || l.self_marked),
                     Phase::Release => !l.token_out && l.self_released,
                     Phase::Done => false,
                 };
@@ -440,12 +441,24 @@ impl UniversalConstructor {
                     Job::DrawOutFirst { remaining: 0, gap } if d.mark == DMark::None => {
                         let mut p2 = p.clone();
                         p2.token = Some(Job::DrawOutSecond { remaining: *gap });
-                        pack(u_first, S::U(p2), S::D(DNode { mark: DMark::DrawFirst }))
+                        pack(
+                            u_first,
+                            S::U(p2),
+                            S::D(DNode {
+                                mark: DMark::DrawFirst,
+                            }),
+                        )
                     }
                     Job::DrawOutSecond { remaining: 0 } if d.mark == DMark::None => {
                         let mut p2 = p.clone();
                         p2.token = Some(Job::DrawWait);
-                        pack(u_first, S::U(p2), S::D(DNode { mark: DMark::DrawSecond }))
+                        pack(
+                            u_first,
+                            S::U(p2),
+                            S::D(DNode {
+                                mark: DMark::DrawSecond,
+                            }),
+                        )
                     }
                     Job::DrawWait => {
                         if let DMark::Report(bit) = d.mark {
@@ -463,7 +476,13 @@ impl UniversalConstructor {
                         p2.token = Some(Job::ReleaseOut {
                             released_here: true,
                         });
-                        pack(u_first, S::U(p2), S::D(DNode { mark: DMark::Released }))
+                        pack(
+                            u_first,
+                            S::U(p2),
+                            S::D(DNode {
+                                mark: DMark::Released,
+                            }),
+                        )
                     }
                     _ => Effect::None,
                 }
@@ -494,13 +513,11 @@ impl UniversalConstructor {
                 Effect::Update(a2, b2)
             }
             // ---- Token movement along the line ----
-            (S::U(p1), S::U(p2)) if link == Link::On => {
-                match (&p1.token, &p2.token) {
-                    (Some(_), None) => self.move_token(p1, p2, true),
-                    (None, Some(_)) => self.move_token(p2, p1, false),
-                    _ => Effect::None,
-                }
-            }
+            (S::U(p1), S::U(p2)) if link == Link::On => match (&p1.token, &p2.token) {
+                (Some(_), None) => self.move_token(p1, p2, true),
+                (None, Some(_)) => self.move_token(p2, p1, false),
+                _ => Effect::None,
+            },
             _ => Effect::None,
         }
     }
@@ -512,29 +529,27 @@ impl UniversalConstructor {
         let outbound_job = |job: &Job| -> Option<Job> {
             match job {
                 Job::MeasureOut { count } => Some(Job::MeasureOut { count: count + 1 }),
-                Job::DrawOutFirst { remaining, gap } if *remaining > 0 => {
-                    Some(Job::DrawOutFirst {
-                        remaining: remaining - 1,
-                        gap: *gap,
-                    })
-                }
-                Job::DrawOutSecond { remaining } if *remaining > 0 => {
-                    Some(Job::DrawOutSecond {
-                        remaining: remaining - 1,
-                    })
-                }
-                Job::ReleaseOut { released_here } if *released_here => {
-                    Some(Job::ReleaseOut {
-                        released_here: false,
-                    })
-                }
+                Job::DrawOutFirst { remaining, gap } if *remaining > 0 => Some(Job::DrawOutFirst {
+                    remaining: remaining - 1,
+                    gap: *gap,
+                }),
+                Job::DrawOutSecond { remaining } if *remaining > 0 => Some(Job::DrawOutSecond {
+                    remaining: remaining - 1,
+                }),
+                Job::ReleaseOut { released_here } if *released_here => Some(Job::ReleaseOut {
+                    released_here: false,
+                }),
                 _ => None,
             }
         };
         // The far end turns a finished release sweep around.
         let (job, inbound) = if from.is_far_end
-            && matches!(job, Job::ReleaseOut { released_here: true })
-        {
+            && matches!(
+                job,
+                Job::ReleaseOut {
+                    released_here: true
+                }
+            ) {
             (Job::ReleaseBack, true)
         } else {
             let inbound = matches!(
@@ -656,8 +671,17 @@ fn next_link(a: &UcState, b: &UcState, a2: &UcState, b2: &UcState, link: Link) -
             // Only when the *other* side also changed from a Draw mark.
             let was_pair = matches!(
                 (a, b),
-                (S::D(DNode { mark: DMark::DrawFirst }), S::D(_))
-                    | (S::D(_), S::D(DNode { mark: DMark::DrawFirst }))
+                (
+                    S::D(DNode {
+                        mark: DMark::DrawFirst
+                    }),
+                    S::D(_)
+                ) | (
+                    S::D(_),
+                    S::D(DNode {
+                        mark: DMark::DrawFirst
+                    })
+                )
             );
             if was_pair {
                 return Link::from(*bit);
@@ -785,14 +809,10 @@ mod tests {
     fn measure_phase_learns_the_line_length() {
         for m in [2, 3, 7] {
             let pop = UniversalConstructor::initial_population(m);
-            let mut sim = Simulation::from_population(
-                UniversalConstructor::new(Box::new(Connected)),
-                pop,
-                1,
-            );
-            let measured = |p: &Population<UcState>| {
-                leader_of(p).is_some_and(|l| l.phase != Phase::Measure)
-            };
+            let mut sim =
+                Simulation::from_population(UniversalConstructor::new(Box::new(Connected)), pop, 1);
+            let measured =
+                |p: &Population<UcState>| leader_of(p).is_some_and(|l| l.phase != Phase::Measure);
             assert!(sim.run_until(measured, 50_000_000).stabilized());
             assert_eq!(
                 leader_of(sim.population()).expect("leader").m,

@@ -194,8 +194,7 @@ mod tests {
     #[test]
     fn udm_partition_thirds_the_population() {
         for n in [3, 4, 5, 6, 24, 48] {
-            let sim =
-                assert_stabilizes(udm_protocol(), n, 5, udm_is_stable, 100_000_000, 40_000);
+            let sim = assert_stabilizes(udm_protocol(), n, 5, udm_is_stable, 100_000_000, 40_000);
             let c = udm_census(sim.population());
             assert_eq!(c.u, n / 3, "|U| = ⌊n/3⌋ (n={n})");
             assert_eq!(c.d, n / 3 + usize::from(n % 3 == 2), "qd count (n={n})");

@@ -213,12 +213,7 @@ impl Supernodes {
                         Some(Task::Recruit { name, len })
                     },
                 };
-                pack(
-                    leader_first,
-                    S::Leader(l2),
-                    S::Member(member),
-                    Link::On,
-                )
+                pack(leader_first, S::Leader(l2), S::Member(member), Link::On)
             }
             // ---- Leader ↔ left endpoint over the star edge ----
             (S::Leader(l), S::Member(m)) | (S::Member(m), S::Leader(l))
@@ -296,12 +291,7 @@ impl Supernodes {
                 }
                 let mut m2 = m.clone();
                 m2.task = Some(Task::Revert);
-                pack(
-                    wrecker_first,
-                    S::Wrecker(*w),
-                    S::Member(m2),
-                    link,
-                )
+                pack(wrecker_first, S::Wrecker(*w), S::Member(m2), link)
             }
             // ---- Member ↔ member along a line ----
             (S::Member(x), S::Member(y)) if link == Link::On => {
@@ -530,9 +520,10 @@ pub fn supernodes_of(pop: &Population<SnState>, completed_len: u16) -> Vec<Super
                 SnState::Member(m) => m.pos,
                 _ => unreachable!("line walk stays on members"),
             };
-            let next = pop.edges().neighbors(cur).find(|&v| {
-                matches!(pop.state(v), SnState::Member(m) if m.pos == pos + 1)
-            });
+            let next = pop
+                .edges()
+                .neighbors(cur)
+                .find(|&v| matches!(pop.state(v), SnState::Member(m) if m.pos == pos + 1));
             match next {
                 Some(v) => {
                     members.push(v);
@@ -593,14 +584,7 @@ mod tests {
         for (j, seeds) in [(1u32, 0..4u64), (2, 0..4), (3, 0..2)] {
             let n = exact_n(j);
             for seed in seeds {
-                let sim = assert_stabilizes(
-                    Supernodes,
-                    n,
-                    seed,
-                    is_stable,
-                    2_000_000_000,
-                    60_000,
-                );
+                let sim = assert_stabilizes(Supernodes, n, seed, is_stable, 2_000_000_000, 60_000);
                 let pop = sim.population();
                 let sns = supernodes_of(pop, j as u16);
                 assert_eq!(
@@ -674,28 +658,20 @@ mod tests {
         pop.edges_mut().activate(2, 3);
         // Nodes 4, 5 free.
         let sim = Simulation::from_population(Supernodes, pop, 5);
-        let sim = netcon_core::testing::assert_stabilizes_sim(
-            sim,
-            is_stable,
-            500_000_000,
-            50_000,
-        );
+        let sim = netcon_core::testing::assert_stabilizes_sim(sim, is_stable, 500_000_000, 50_000);
         // A single leader, and 6 = 1 + ... nodes: phase 2 needs 1+2·4=9,
         // so the survivor stalls mid-phase; everyone else is a member.
         let pop = sim.population();
-        assert_eq!(
-            pop.count_where(|s| matches!(s, SnState::Leader(_))),
-            1
-        );
+        assert_eq!(pop.count_where(|s| matches!(s, SnState::Leader(_))), 1);
         assert_eq!(pop.count_where(|s| matches!(s, SnState::Free)), 0);
     }
 
     #[test]
     fn stable_configuration_has_at_most_one_recruiter() {
         let sim = assert_stabilizes(Supernodes, 12, 1, is_stable, 2_000_000_000, 60_000);
-        let recruiting = sim
-            .population()
-            .count_where(|s| matches!(s, SnState::Member(m) if matches!(m.task, Some(Task::Recruit { .. }))));
+        let recruiting = sim.population().count_where(
+            |s| matches!(s, SnState::Member(m) if matches!(m.task, Some(Task::Recruit { .. }))),
+        );
         assert!(recruiting <= 1);
     }
 }

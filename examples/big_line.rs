@@ -36,7 +36,10 @@ fn main() {
     assert!(is_spanning_line(sim.population().edges()));
     println!("spanning line stable; output verified with is_spanning_line\n");
     println!("sequential steps (paper's time) : {converged:>16}");
-    println!("effective interactions          : {:>16}", sim.effective_steps());
+    println!(
+        "effective interactions          : {:>16}",
+        sim.effective_steps()
+    );
     println!(
         "ineffective draws skipped       : {:>16} ({:.4}% of steps were effective)",
         sim.steps() - sim.effective_steps(),

@@ -15,9 +15,7 @@ fn main() {
     println!("n = {n}, {trials} trials per process\n");
     let mut t = TextTable::new(&["process", "theory", "mean steps", "95% CI", "steps / n²"]);
     for p in Process::all() {
-        let samples: Vec<f64> = (0..trials)
-            .map(|s| p.measure(n, s) as f64)
-            .collect();
+        let samples: Vec<f64> = (0..trials).map(|s| p.measure(n, s) as f64).collect();
         let s = Summary::of(&samples);
         t.row(&[
             p.name(),

@@ -50,7 +50,12 @@ fn main() {
     ];
     let trials = 10;
     println!("mean interactions to a stable spanning line ({trials} trials)\n");
-    let mut t = TextTable::new(&["n", "Simple-Global-Line", "Fast-Global-Line", "Faster-Global-Line"]);
+    let mut t = TextTable::new(&[
+        "n",
+        "Simple-Global-Line",
+        "Fast-Global-Line",
+        "Faster-Global-Line",
+    ]);
     for n in [8usize, 12, 16, 24, 32] {
         let mut row = vec![n.to_string()];
         for (_, p, stable) in &entries {

@@ -35,8 +35,10 @@ fn main() {
         "output:      spanning star = {}",
         is_spanning_star(sim.population().edges())
     );
-    let centre = sim
-        .population()
-        .nodes_where(|s| *s == global_star::C);
-    println!("centre node: {:?} (degree {})", centre, sim.population().edges().degree(centre[0]));
+    let centre = sim.population().nodes_where(|s| *s == global_star::C);
+    println!(
+        "centre node: {:?} (degree {})",
+        centre,
+        sim.population().edges().degree(centre[0])
+    );
 }

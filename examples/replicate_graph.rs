@@ -12,10 +12,7 @@ use netcon::protocols::replication;
 
 fn main() {
     // The input G1: a 6-node wheel-ish graph on V1.
-    let g1 = EdgeSet::from_edges(
-        6,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
-    );
+    let g1 = EdgeSet::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]);
     println!("input G1: {} nodes, {} edges", g1.n(), g1.active_count());
 
     // V2 gets two spare nodes; they must remain untouched.
@@ -34,8 +31,6 @@ fn main() {
         replica.active_count()
     );
     println!("isomorphic to G1: {}", are_isomorphic(&replica, &g1));
-    let spares = sim
-        .population()
-        .count_where(|s| *s == replication::R0);
+    let spares = sim.population().count_where(|s| *s == replication::R0);
     println!("spare V2 nodes left untouched: {spares}");
 }

@@ -14,7 +14,10 @@ use netcon::universal::supernodes::{is_stable, supernodes_of, Supernodes};
 fn main() {
     let j = 3u32; // phase: 8 supernodes of 3 nodes each
     let n = 1 + (j as usize) * (1 << j); // leader + j·2^j members
-    println!("population: {n} nodes → 2^{j} = {} supernodes of {j} nodes\n", 1 << j);
+    println!(
+        "population: {n} nodes → 2^{j} = {} supernodes of {j} nodes\n",
+        1 << j
+    );
 
     let mut sim = Simulation::new(Supernodes, n, 42);
     let outcome = sim.run_until(is_stable, u64::MAX);

@@ -10,9 +10,7 @@
 use netcon::core::Simulation;
 use netcon::graph::components::is_connected;
 use netcon::tm::decider::{GraphLanguage, MinEdges};
-use netcon::universal::constructor::{
-    drawn_graph, is_stable, leader_of, UniversalConstructor,
-};
+use netcon::universal::constructor::{drawn_graph, is_stable, leader_of, UniversalConstructor};
 
 fn main() {
     // Target language: connected AND at least 40% of all possible edges —
@@ -44,7 +42,10 @@ fn main() {
         "stabilized after {} interactions",
         outcome.converged_at().expect("constructor stabilizes")
     );
-    println!("rejected draws before the accepted one: {}", leader.rejections);
+    println!(
+        "rejected draws before the accepted one: {}",
+        leader.rejections
+    );
 
     let g = drawn_graph(sim.population());
     println!(

@@ -89,8 +89,7 @@ fn sample(
         })
         .collect();
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-        / (samples.len() - 1) as f64;
+    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64;
     (mean, var)
 }
 
@@ -142,10 +141,30 @@ fn assert_equivalent_5way(
     assert_pair(name, ("bucket", mb, vb), ("naive", mn, vn), n, trials);
     assert_pair(name, ("bucket", mb, vb), ("event", me, ve), n, trials);
     let (mr, vr) = sample(protocol, stable, sparse_stable, n, trials, 404, Round);
-    let (ms, vs) = sample(protocol, stable, sparse_stable, n, trials, 505, NaiveShuffled);
+    let (ms, vs) = sample(
+        protocol,
+        stable,
+        sparse_stable,
+        n,
+        trials,
+        505,
+        NaiveShuffled,
+    );
     let (mq, vq) = sample(protocol, stable, sparse_stable, n, trials, 606, RoundBucket);
-    assert_pair(name, ("round", mr, vr), ("naive-shuffled", ms, vs), n, trials);
-    assert_pair(name, ("round-sparse", mq, vq), ("naive-shuffled", ms, vs), n, trials);
+    assert_pair(
+        name,
+        ("round", mr, vr),
+        ("naive-shuffled", ms, vs),
+        n,
+        trials,
+    );
+    assert_pair(
+        name,
+        ("round-sparse", mq, vq),
+        ("naive-shuffled", ms, vs),
+        n,
+        trials,
+    );
     assert_pair(name, ("round-sparse", mq, vq), ("round", mr, vr), n, trials);
 }
 
@@ -322,13 +341,11 @@ mod round_counts {
                     ShuffledRounds::new(),
                 );
                 let naive_out = naive.run_until(stable, u64::MAX);
-                let naive_rounds =
-                    naive_out.converged_at().expect("stabilizes").div_ceil(m);
+                let naive_rounds = naive_out.converged_at().expect("stabilizes").div_ceil(m);
 
                 let mut round = RoundSim::new(p.compile(), n, derive2(62, n as u64, seed));
                 let round_out = round.run_until(stable, u64::MAX);
-                let round_rounds =
-                    round_out.converged_at().expect("stabilizes").div_ceil(m);
+                let round_rounds = round_out.converged_at().expect("stabilizes").div_ceil(m);
                 assert_eq!(
                     round.last_output_change_round(),
                     round_rounds,
@@ -339,14 +356,12 @@ mod round_counts {
                     use netcon::core::EnumerableMachine;
                     p.compile().state_index(&d)
                 };
-                let mut sparse =
-                    RoundBucketSim::new(p.compile(), n, derive2(93, n as u64, seed));
+                let mut sparse = RoundBucketSim::new(p.compile(), n, derive2(93, n as u64, seed));
                 let sparse_out = sparse.run_until(
                     |sp| sp.count_index(di) == sp.n() && sp.active_count() == 0,
                     u64::MAX,
                 );
-                let sparse_rounds =
-                    sparse_out.converged_at().expect("stabilizes").div_ceil(m);
+                let sparse_rounds = sparse_out.converged_at().expect("stabilizes").div_ceil(m);
                 assert_eq!(
                     sparse.last_output_change_round(),
                     sparse_rounds,
@@ -431,8 +446,20 @@ mod round_counts {
                 }
                 assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
                 assert_eq!(
-                    fp(a.population(), a.steps(), a.effective_steps(), a.edge_events(), a.last_output_change()),
-                    fp(b.population(), b.steps(), b.effective_steps(), b.edge_events(), b.last_output_change()),
+                    fp(
+                        a.population(),
+                        a.steps(),
+                        a.effective_steps(),
+                        a.edge_events(),
+                        a.last_output_change()
+                    ),
+                    fp(
+                        b.population(),
+                        b.steps(),
+                        b.effective_steps(),
+                        b.edge_events(),
+                        b.last_output_change()
+                    ),
                     "RoundSim n={n} seed={seed}"
                 );
 
@@ -444,8 +471,20 @@ mod round_counts {
                 }
                 assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
                 assert_eq!(
-                    fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events(), a.last_output_change()),
-                    fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events(), b.last_output_change()),
+                    fp(
+                        &a.to_population(),
+                        a.steps(),
+                        a.effective_steps(),
+                        a.edge_events(),
+                        a.last_output_change()
+                    ),
+                    fp(
+                        &b.to_population(),
+                        b.steps(),
+                        b.effective_steps(),
+                        b.edge_events(),
+                        b.last_output_change()
+                    ),
                     "RoundBucketSim n={n} seed={seed}"
                 );
             }
@@ -508,8 +547,8 @@ mod faults {
             })
             .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / (samples.len() - 1) as f64;
+        let var =
+            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64;
         (mean, var)
     }
 
@@ -526,7 +565,16 @@ mod faults {
         trials: u64,
     ) {
         let run = |base, kind| {
-            sample_faulted(protocol, stable, sparse_stable, plan_of, n, trials, base, kind)
+            sample_faulted(
+                protocol,
+                stable,
+                sparse_stable,
+                plan_of,
+                n,
+                trials,
+                base,
+                kind,
+            )
         };
         let (me, ve) = run(101, Event);
         let (mn, vn) = run(202, Naive);
@@ -537,8 +585,20 @@ mod faults {
         let (mr, vr) = run(404, Round);
         let (ms, vs) = run(505, NaiveShuffled);
         let (mq, vq) = run(606, RoundBucket);
-        assert_pair(name, ("round", mr, vr), ("naive-shuffled", ms, vs), n, trials);
-        assert_pair(name, ("round-sparse", mq, vq), ("naive-shuffled", ms, vs), n, trials);
+        assert_pair(
+            name,
+            ("round", mr, vr),
+            ("naive-shuffled", ms, vs),
+            n,
+            trials,
+        );
+        assert_pair(
+            name,
+            ("round-sparse", mq, vq),
+            ("naive-shuffled", ms, vs),
+            n,
+            trials,
+        );
         assert_pair(name, ("round-sparse", mq, vq), ("round", mr, vr), n, trials);
     }
 
@@ -611,10 +671,12 @@ mod faults {
         for n in [9usize, 13] {
             let m = (n as u64) * (n as u64 - 1) / 2;
             for seed in 0..10u64 {
-                let plan = FaultPlan::new(derive2(55, n as u64, seed))
-                    .at(0, FaultEvent::CrashRandom);
+                let plan =
+                    FaultPlan::new(derive2(55, n as u64, seed)).at(0, FaultEvent::CrashRandom);
                 let stable = |q: &Population<StateId>, fs: &FaultState| {
-                    (0..q.n()).filter(|&u| fs.is_alive(u)).all(|u| *q.state(u) == d)
+                    (0..q.n())
+                        .filter(|&u| fs.is_alive(u))
+                        .all(|u| *q.state(u) == d)
                         && q.edges().active_count() == 0
                 };
                 let mut naive = Simulation::with_scheduler_faulted(
@@ -640,18 +702,18 @@ mod faults {
                     .converged_at()
                     .expect("stabilizes")
                     .div_ceil(m);
-                assert_eq!(round.last_output_change_round(), round_rounds, "n={n} seed={seed}");
+                assert_eq!(
+                    round.last_output_change_round(),
+                    round_rounds,
+                    "n={n} seed={seed}"
+                );
 
                 let di = {
                     use netcon::core::EnumerableMachine;
                     p.compile().state_index(&d)
                 };
-                let mut sparse = RoundBucketSim::new_faulted(
-                    p.compile(),
-                    n,
-                    derive2(93, n as u64, seed),
-                    plan,
-                );
+                let mut sparse =
+                    RoundBucketSim::new_faulted(p.compile(), n, derive2(93, n as u64, seed), plan);
                 let sparse_rounds = sparse
                     .run_faulted_until(
                         |sp, fs| {
@@ -710,8 +772,18 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "EventSim"
         );
 
@@ -722,8 +794,18 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "BucketSim"
         );
 
@@ -735,8 +817,18 @@ mod faults {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundSim"
         );
 
@@ -748,8 +840,18 @@ mod faults {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundBucketSim"
         );
 
@@ -760,20 +862,41 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/uniform"
         );
 
-        let mut a = Simulation::with_scheduler_faulted(p.clone(), n, 9, ShuffledRounds::new(), plan());
+        let mut a =
+            Simulation::with_scheduler_faulted(p.clone(), n, 9, ShuffledRounds::new(), plan());
         a.run_faulted_to(400);
         let mut b = Simulation::with_scheduler_faulted(p, n, 9, ShuffledRounds::new(), plan());
         for &s in &stops {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/shuffled-rounds"
         );
     }
@@ -849,8 +972,18 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "EventSim/churn"
         );
 
@@ -861,8 +994,18 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "BucketSim/churn"
         );
 
@@ -874,8 +1017,18 @@ mod faults {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundSim/churn"
         );
 
@@ -887,8 +1040,18 @@ mod faults {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundBucketSim/churn"
         );
 
@@ -899,20 +1062,41 @@ mod faults {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/uniform/churn"
         );
 
-        let mut a = Simulation::with_scheduler_faulted(p.clone(), n, 17, ShuffledRounds::new(), plan());
+        let mut a =
+            Simulation::with_scheduler_faulted(p.clone(), n, 17, ShuffledRounds::new(), plan());
         a.run_faulted_to(end);
         let mut b = Simulation::with_scheduler_faulted(p, n, 17, ShuffledRounds::new(), plan());
         for &s in &stops {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/shuffled-rounds/churn"
         );
     }
@@ -1000,7 +1184,11 @@ mod adversary {
                 )
         };
         let mut stops = plan().boundary_times();
-        assert_eq!(stops, vec![120, 260, 340, 560], "events and decisions merge");
+        assert_eq!(
+            stops,
+            vec![120, 260, 340, 560],
+            "events and decisions merge"
+        );
         stops.push(900);
         let end = 900;
         type Fp = (u64, u64, u64, Vec<StateId>, Vec<(usize, usize)>);
@@ -1022,8 +1210,18 @@ mod adversary {
             "all decisions fired"
         );
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "EventSim/adversary"
         );
 
@@ -1034,8 +1232,18 @@ mod adversary {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "BucketSim/adversary"
         );
 
@@ -1047,8 +1255,18 @@ mod adversary {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundSim/adversary"
         );
 
@@ -1060,8 +1278,18 @@ mod adversary {
         }
         assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
         assert_eq!(
-            fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                &a.to_population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                &b.to_population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "RoundBucketSim/adversary"
         );
 
@@ -1072,8 +1300,18 @@ mod adversary {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/uniform/adversary"
         );
 
@@ -1085,8 +1323,18 @@ mod adversary {
             b.run_faulted_to(s);
         }
         assert_eq!(
-            fp(a.population(), a.steps(), a.effective_steps(), a.edge_events()),
-            fp(b.population(), b.steps(), b.effective_steps(), b.edge_events()),
+            fp(
+                a.population(),
+                a.steps(),
+                a.effective_steps(),
+                a.edge_events()
+            ),
+            fp(
+                b.population(),
+                b.steps(),
+                b.effective_steps(),
+                b.edge_events()
+            ),
             "Simulation/shuffled-rounds/adversary"
         );
     }
@@ -1459,7 +1707,9 @@ mod skip_schedule {
         if t > r - k {
             return 0.0;
         }
-        (0..t).map(|i| (r - k - i) as f64 / (r - i) as f64).product()
+        (0..t)
+            .map(|i| (r - k - i) as f64 / (r - i) as f64)
+            .product()
     }
 
     /// Exact hypergeometric pmf by binomial-coefficient ratios.
@@ -1552,8 +1802,14 @@ mod skip_schedule {
         let mut rng = SmallRng::seed_from_u64(7);
         let schedule: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
         let p = 0.125;
-        let a: Vec<f64> = schedule.iter().map(|&r| geometric_skip(unit_open01(r), p)).collect();
-        let b: Vec<f64> = schedule.iter().map(|&r| geometric_skip(unit_open01(r), p)).collect();
+        let a: Vec<f64> = schedule
+            .iter()
+            .map(|&r| geometric_skip(unit_open01(r), p))
+            .collect();
+        let b: Vec<f64> = schedule
+            .iter()
+            .map(|&r| geometric_skip(unit_open01(r), p))
+            .collect();
         assert_eq!(a, b);
         // And the empirical mean sits near the geometric mean (1−p)/p.
         let mean = a.iter().sum::<f64>() / a.len() as f64;
@@ -1648,7 +1904,11 @@ mod endgame {
             let mut x = z;
             let mut t = 0u64;
             let exit0 = loop {
-                x = if rng.next_u64() & 1 == 0 { x - 1 } else { x + 1 };
+                x = if rng.next_u64() & 1 == 0 {
+                    x - 1
+                } else {
+                    x + 1
+                };
                 t += 1;
                 if x == 0 {
                     break true;
@@ -1682,7 +1942,10 @@ mod endgame {
         );
         let p0 = (len - z) as f64 / len as f64;
         assert!((rb - p0).abs() < 0.05, "brute exit rate {rb} vs exact {p0}");
-        assert!((rs - p0).abs() < 0.05, "batched exit rate {rs} vs exact {p0}");
+        assert!(
+            (rs - p0).abs() < 0.05,
+            "batched exit rate {rs} vs exact {p0}"
+        );
 
         // Mean absorption time: Welch z within 4σ (E[T] = z(L−z) = 1500
         // here; the relative sd is ≈ 80%, so 3000 paired trials resolve

@@ -30,7 +30,13 @@ fn huge_line_runs_at_smoke_scale() {
     };
     let manifest = format!("{manifest_dir}/Cargo.toml");
     let output = Command::new(cargo)
-        .args(["run", "--example", "huge_line", "--manifest-path", &manifest])
+        .args([
+            "run",
+            "--example",
+            "huge_line",
+            "--manifest-path",
+            &manifest,
+        ])
         // Force the sparse engine even at smoke scale: that is the code
         // path the example exists to demonstrate.
         .env("NETCON_HUGE_LINE_N", "1500")

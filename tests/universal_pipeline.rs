@@ -44,11 +44,8 @@ fn theorem_14_pipeline() {
 
     // Phase 3: the constructor proper on the canonical layout.
     let pop = UniversalConstructor::initial_population(m);
-    let mut sim = Simulation::from_population(
-        UniversalConstructor::new(Box::new(Connected)),
-        pop,
-        3,
-    );
+    let mut sim =
+        Simulation::from_population(UniversalConstructor::new(Box::new(Connected)), pop, 3);
     let outcome = sim.run_until(netcon::universal::constructor::is_stable, step_budget(m));
     assert!(outcome.stabilized());
     let g = drawn_graph(sim.population());
@@ -92,11 +89,8 @@ fn line_tm_agrees_with_interpreter() {
 fn constructor_output_is_in_language() {
     for seed in 0..3 {
         let pop = UniversalConstructor::initial_population(4);
-        let mut sim = Simulation::from_population(
-            UniversalConstructor::new(Box::new(Connected)),
-            pop,
-            seed,
-        );
+        let mut sim =
+            Simulation::from_population(UniversalConstructor::new(Box::new(Connected)), pop, seed);
         assert!(sim
             .run_until(netcon::universal::constructor::is_stable, step_budget(4))
             .stabilized());
