@@ -1100,6 +1100,132 @@ mod faults {
             "Simulation/shuffled-rounds/churn"
         );
     }
+
+    /// Every engine applies the same damage to the same configuration.
+    /// A clique builder completes its 28-edge clique long before draw
+    /// 100 000, whatever the coins; there a crash (whose seven notified
+    /// neighbors turn `a → z`), four random edge deletions and an
+    /// arrival land together. The outcome depends only on the plan, so
+    /// every fast engine must end in the naive engine's exact
+    /// configuration and counters — including *which* four edges the
+    /// plan's draw picks from the canonical active-edge order.
+    #[test]
+    fn simultaneous_damage_lands_identically_on_every_engine() {
+        let mut b = ProtocolBuilder::new("clique");
+        let a = b.state("a");
+        let z = b.state("z");
+        b.rule((a, a, Link::Off), (a, a, Link::On));
+        b.on_crash(a, z);
+        let p = b.build().expect("valid");
+        let compiled = p.compile();
+        let n = 8;
+        let at = 100_000;
+        type Fp = (Vec<usize>, Vec<(usize, usize)>, u64, u64);
+        let fp = |pop: &Population<StateId>, ev: u64, last: u64| -> Fp {
+            let states = (0..pop.n()).map(|u| pop.state(u).index()).collect();
+            (states, pop.edges().active_edges().collect(), ev, last)
+        };
+        for s in 0..20u64 {
+            let plan = || {
+                FaultPlan::new(derive2(91, s, 0))
+                    .at(at, FaultEvent::Crash(3))
+                    .at(at, FaultEvent::DeleteRandomActiveEdges(4))
+                    .at(at, FaultEvent::Arrive)
+            };
+            let seed = derive2(92, s, 0);
+            let mut fps: Vec<(&str, Fp)> = Vec::new();
+
+            let mut sim = Simulation::new_faulted(p.clone(), n, seed, plan());
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.population().edges().active_count(), 28);
+            sim.run_faulted_to(at);
+            let naive = fp(
+                sim.population(),
+                sim.edge_events(),
+                sim.last_output_change(),
+            );
+
+            let mut sim = Simulation::with_scheduler_faulted(
+                p.clone(),
+                n,
+                seed,
+                ShuffledRounds::new(),
+                plan(),
+            );
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.population().edges().active_count(), 28);
+            sim.run_faulted_to(at);
+            fps.push((
+                "Simulation/shuffled-rounds",
+                fp(
+                    sim.population(),
+                    sim.edge_events(),
+                    sim.last_output_change(),
+                ),
+            ));
+
+            let mut sim = EventSim::new_faulted(compiled.clone(), n, seed, plan());
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.population().edges().active_count(), 28);
+            sim.run_faulted_to(at);
+            fps.push((
+                "EventSim",
+                fp(
+                    sim.population(),
+                    sim.edge_events(),
+                    sim.last_output_change(),
+                ),
+            ));
+
+            let mut sim = BucketSim::new_faulted(compiled.clone(), n, seed, plan());
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.view().active_count(), 28);
+            sim.run_faulted_to(at);
+            fps.push((
+                "BucketSim",
+                fp(
+                    &sim.to_population(),
+                    sim.edge_events(),
+                    sim.last_output_change(),
+                ),
+            ));
+
+            let mut sim = RoundSim::new_faulted(compiled.clone(), n, seed, plan());
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.population().edges().active_count(), 28);
+            sim.run_faulted_to(at);
+            assert!(sim.pool_invariant_holds());
+            fps.push((
+                "RoundSim",
+                fp(
+                    sim.population(),
+                    sim.edge_events(),
+                    sim.last_output_change(),
+                ),
+            ));
+
+            let mut sim = RoundBucketSim::new_faulted(compiled.clone(), n, seed, plan());
+            sim.run_faulted_to(at - 1);
+            assert_eq!(sim.view().active_count(), 28);
+            sim.run_faulted_to(at);
+            assert!(sim.pool_invariant_holds());
+            fps.push((
+                "RoundBucketSim",
+                fp(
+                    &sim.to_population(),
+                    sim.edge_events(),
+                    sim.last_output_change(),
+                ),
+            ));
+
+            // Crash: 7 edges; deletions: 4 of the surviving 21.
+            assert_eq!(naive.1.len(), 28 - 7 - 4, "seed {s}");
+            assert_eq!((naive.2, naive.3), (28 + 7 + 4, at), "seed {s}");
+            for (name, got) in fps {
+                assert_eq!(got, naive, "{name}, seed {s}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
