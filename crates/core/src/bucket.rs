@@ -58,11 +58,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::driver::{sealed::Sealed, EndgameEvent, Kernel};
+use crate::driver::{kernel_accessors, sealed::Sealed, EndgameEvent, Kernel};
 use crate::engine::{geometric_skip, unit_open01, Bookkeeping, GeoCacheSlot};
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::walk::{
     bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
@@ -106,9 +105,46 @@ pub struct SparsePop {
 }
 
 impl SparsePop {
-    /// Builds the configuration with every node in state `initial` and no
-    /// active edges.
-    pub(crate) fn new(n: usize, num_states: usize, initial: usize) -> Self {
+    /// Builds `machine`'s initial configuration on `n` nodes: every node
+    /// in the initial state, no active edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`, `n > 2³¹` (node ids are `u32`), or the machine
+    /// has more than 65536 states (state ids are `u16`).
+    pub(crate) fn initial<M: EnumerableMachine>(machine: &M, n: usize) -> Self {
+        Self::new(machine, n, machine.state_index(&machine.initial_state()))
+    }
+
+    /// Builds the sparse form of an explicit dense configuration (one
+    /// scan of its active edges).
+    ///
+    /// # Panics
+    ///
+    /// As [`initial`](Self::initial).
+    pub(crate) fn from_population<M: EnumerableMachine>(
+        machine: &M,
+        pop: &Population<M::State>,
+    ) -> Self {
+        let mut sp = Self::new(machine, pop.n(), machine.state_index(pop.state(0)));
+        for u in 0..pop.n() {
+            sp.set_state_index(u, machine.state_index(pop.state(u)));
+        }
+        for (u, v) in pop.edges().active_edges() {
+            sp.set_edge(u, v, true);
+        }
+        sp
+    }
+
+    /// Every node in state `initial`, no active edges.
+    fn new<M: EnumerableMachine>(machine: &M, n: usize, initial: usize) -> Self {
+        assert!(n >= 2, "pairwise interactions need at least 2 processes");
+        assert!(n <= 1 << 31, "the sparse engines pack node ids into u32");
+        let num_states = machine.num_states();
+        assert!(
+            num_states <= usize::from(u16::MAX) + 1,
+            "the sparse engines' dense state index is u16: more than 65536 states"
+        );
         let mut buckets = vec![Vec::new(); num_states];
         buckets[initial] = (0..n as u32).collect();
         Self {
@@ -176,6 +212,17 @@ impl SparsePop {
             (v, u)
         };
         self.adj[a].iter().any(|c| c.to as usize == b)
+    }
+
+    /// The active edges in canonical order: lexicographic in
+    /// `(min, max)`, the order the dense edge set lists them in.
+    pub(crate) fn canonical_edges(&self) -> Vec<(usize, usize)> {
+        let mut edges = Vec::with_capacity(self.active);
+        for u in 0..self.n() {
+            edges.extend(self.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
+        }
+        edges.sort_unstable();
+        edges
     }
 
     /// Materializes the dense active-edge set — Θ(n²) bits; for
@@ -505,15 +552,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// ```
     #[must_use]
     pub fn new(machine: M, n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "BucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "BucketSim's dense index is u16: more than 65536 states"
-        );
-        let initial = machine.state_index(&machine.initial_state());
-        let sp = SparsePop::new(n, num_states, initial);
+        let sp = SparsePop::initial(&machine, n);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -549,21 +588,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// As [`new`](Self::new).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        let n = pop.n();
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "BucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "BucketSim's dense index is u16: more than 65536 states"
-        );
-        let mut sp = SparsePop::new(n, num_states, machine.state_index(pop.state(0)));
-        for u in 0..n {
-            sp.set_state_index(u, machine.state_index(pop.state(u)));
-        }
-        for (u, v) in pop.edges().active_edges() {
-            sp.set_edge(u, v, true);
-        }
+        let sp = SparsePop::from_population(&machine, &pop);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -660,12 +685,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
         self.book.last_output_change()
-    }
-
-    /// The exact step of the most recent edge change (0 if none yet).
-    #[must_use]
-    pub fn last_output_change_wide(&self) -> u128 {
-        self.book.last_output_change
     }
 
     /// The step of the most recent effective interaction (0 if none
@@ -1661,56 +1680,66 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.rejection_run = 0;
         self.probe_at = QUIESCENCE_PROBE;
     }
+}
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// drops it from the on list if it rode there.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+impl<M: EnumerableMachine> Sealed for BucketSim<M> {
+    type View = SparsePop;
+    type Machine = M;
+}
+
+impl<M: EnumerableMachine> Kernel for BucketSim<M> {
+    kernel_accessors!(sp);
+
+    fn state_index(&self, u: usize) -> usize {
+        self.sp.state_index(u)
+    }
+
+    fn active_edges(&self) -> Vec<(usize, usize)> {
+        self.sp.canonical_edges()
+    }
+
+    /// Pure bucket/on-list reclassification, as for every fault: the
+    /// crashed node leaves its bucket and sheds its active edges. The
+    /// skip denominator never moves.
+    fn detach(&mut self, x: usize) -> Vec<usize> {
+        let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
+        neighbors.sort_unstable();
+        for &w in &neighbors {
+            let on_pos = self.sp.set_edge(x, w, false);
+            if on_pos != NOT_ON {
+                self.on_list_remove(on_pos as usize);
+            }
+        }
+        self.sp.bucket_remove(x);
+        self.dirty = true;
+        neighbors
+    }
+
+    fn admit(&mut self, x: usize) {
+        self.sp.bucket_insert(x);
+        self.dirty = true;
+    }
+
+    fn cut_edge(&mut self, u: usize, v: usize) -> bool {
         if !self.sp.is_active(u, v) {
-            return;
+            return false;
         }
         let on_pos = self.sp.set_edge(u, v, false);
         if on_pos != NOT_ON {
             self.on_list_remove(on_pos as usize);
         }
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-    }
-}
-
-impl<M: EnumerableMachine> Sealed for BucketSim<M> {
-    type View = SparsePop;
-}
-
-impl<M: EnumerableMachine> Kernel for BucketSim<M> {
-    fn view(&self) -> &SparsePop {
-        &self.sp
+        true
     }
 
-    fn advance(&mut self, max_steps: u64) -> EventStep {
-        BucketSim::advance(self, max_steps)
+    fn set_state(&mut self, w: usize, new: usize) {
+        self.sp.set_state_index(w, new);
+        self.dirty = true;
+        self.refresh_on_incident(w);
     }
 
-    fn book(&self) -> &Bookkeeping {
-        &self.book
-    }
-
-    fn book_mut(&mut self) -> &mut Bookkeeping {
-        &mut self.book
-    }
-
-    fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    fn faults_mut(&mut self) -> Option<&mut FaultState> {
-        self.faults.as_mut()
-    }
-
-    /// Applies one resolved fault event by pure bucket/on-list
-    /// reclassification: crashed nodes leave their bucket and shed their
-    /// active edges; arrivals re-enter their retained bucket; deleted
-    /// edges leave the on list. The skip denominator never moves.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
+    /// The configuration may have changed, so any quiescence evidence
+    /// gathered from rejected candidates is void.
+    fn fault_applied(&mut self) {
         debug_assert!(
             self.commits.is_empty(),
             "fault events and endgame commitments cannot coexist"
@@ -1719,72 +1748,8 @@ impl<M: EnumerableMachine> Kernel for BucketSim<M> {
             self.eg.is_none(),
             "fault events never land inside an endgame session"
         );
-        match resolved {
-            ResolvedFault::Noop => return,
-            ResolvedFault::Crash(x) => {
-                // The sparse adjacency lists neighbors in arbitrary
-                // order; notifications are specified in ascending node
-                // order, so sort before shedding edges.
-                let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
-                neighbors.sort_unstable();
-                for &w in &neighbors {
-                    let on_pos = self.sp.set_edge(x, w, false);
-                    if on_pos != NOT_ON {
-                        self.on_list_remove(on_pos as usize);
-                    }
-                }
-                self.sp.bucket_remove(x);
-                self.dirty = true;
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications: pure bucket moves plus on-list
-                // refreshes for the notified nodes' surviving edges.
-                for &w in &neighbors {
-                    let su = self.sp.state_index(w);
-                    if let Some(new) = self.machine.notify_indexed(su) {
-                        if self.sp.set_state_index(w, new) {
-                            self.refresh_on_incident(w);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                self.sp.bucket_insert(x);
-                self.dirty = true;
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // The dense engines sample from `EdgeSet::active_edges`'s
-                // triangular-index order, which is lexicographic in
-                // (min, max) — sort the adjacency-derived list to match.
-                let mut edges: Vec<(usize, usize)> = Vec::with_capacity(self.sp.active_count());
-                for u in 0..self.sp.n() {
-                    edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-                }
-                edges.sort_unstable();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
-        }
-        // The configuration changed, so any quiescence evidence gathered
-        // from rejected candidates is void.
         self.rejection_run = 0;
         self.probe_at = QUIESCENCE_PROBE;
-    }
-
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set read off the sparse
-    /// adjacency (the snapshot sorts, so iteration order is moot).
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.sp.n()).map(|u| self.sp.state_index(u)).collect();
-        let mut edges = Vec::with_capacity(self.sp.active_count());
-        for u in 0..self.sp.n() {
-            edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-        }
-        ConfigSnapshot::new(states, edges)
     }
 
     fn batch_step(&mut self) -> EndgameEvent {

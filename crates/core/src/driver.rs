@@ -16,10 +16,11 @@
 //! compares the fast engines against, so a bug here must not reach both
 //! sides.
 
+use crate::compiled::EnumerableMachine;
 use crate::engine::Bookkeeping;
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{DueFault, FaultState, ResolvedFault};
+use crate::fault::{sample_without_replacement, DueFault, FaultState, ResolvedFault};
 use crate::sim::{RunOutcome, StepResult};
 
 /// One event of an engine's batched mode, as seen by
@@ -64,12 +65,35 @@ pub(crate) trait Kernel: sealed::Sealed {
     /// The fault state, mutably.
     fn faults_mut(&mut self) -> Option<&mut FaultState>;
 
-    /// Applies one resolved fault event (alive flags already flipped by
-    /// the resolver), reclassifying candidates.
-    fn apply_resolved(&mut self, resolved: ResolvedFault);
+    /// The machine being executed (for crash-notify targets).
+    fn machine(&self) -> &Self::Machine;
 
-    /// Normalizes the configuration for an adversary decision.
-    fn config_snapshot(&self) -> ConfigSnapshot;
+    /// The dense state index of node `u`.
+    fn state_index(&self, u: usize) -> usize;
+
+    /// The active edges in canonical order: lexicographic in
+    /// `(min, max)`, the triangular-index order of the dense edge set.
+    fn active_edges(&self) -> Vec<(usize, usize)>;
+
+    /// Retires crashed node `x` (alive flag already cleared by the
+    /// resolver) from the candidate structures and deactivates its
+    /// incident edges. Returns the former neighbors in ascending order.
+    fn detach(&mut self, x: usize) -> Vec<usize>;
+
+    /// Admits arrived node `x` (alive flag already set; it holds the
+    /// initial state and no edges) back into the candidate structures.
+    fn admit(&mut self, x: usize);
+
+    /// Deactivates edge `{u, v}` if it is active, reclassifying the
+    /// affected pair. Returns whether it was active.
+    fn cut_edge(&mut self, u: usize, v: usize) -> bool;
+
+    /// Moves live node `w` to state index `new` (not its current one)
+    /// without touching any edge.
+    fn set_state(&mut self, w: usize, new: usize);
+
+    /// Runs after every applied fault event that was not a no-op.
+    fn fault_applied(&mut self) {}
 
     /// Processes one batched event, if the engine has a batched mode and
     /// the configuration admits it. Only called from
@@ -81,6 +105,50 @@ pub(crate) trait Kernel: sealed::Sealed {
 
     /// Closes an open batched session before a stable return.
     fn batch_finish(&mut self) {}
+
+    /// Applies one resolved fault event: the damage policy every fast
+    /// engine shares, over the reclassification primitives above. Edge
+    /// deletions are output changes; crash notifications run in
+    /// ascending node order; random deletions sample the canonical
+    /// active-edge order, so the draw depends only on the configuration.
+    fn apply_resolved(&mut self, resolved: ResolvedFault) {
+        match resolved {
+            ResolvedFault::Noop => return,
+            ResolvedFault::Crash(x) => {
+                let neighbors = self.detach(x);
+                self.book_mut().record_fault_edges(neighbors.len());
+                for w in neighbors {
+                    let s = self.state_index(w);
+                    if let Some(new) = self.machine().notify_indexed(s) {
+                        if new != s {
+                            self.set_state(w, new);
+                        }
+                    }
+                }
+            }
+            ResolvedFault::Arrive(x) => self.admit(x),
+            ResolvedFault::DeleteEdge(u, v) => {
+                let cut = self.cut_edge(u, v);
+                self.book_mut().record_fault_edges(usize::from(cut));
+            }
+            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
+                let edges = self.active_edges();
+                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
+                    let cut = self.cut_edge(u, v);
+                    self.book_mut().record_fault_edges(usize::from(cut));
+                }
+            }
+        }
+        self.fault_applied();
+    }
+
+    /// The configuration an adversary decision reads: dense state
+    /// indices over the whole draw space plus the active edges.
+    fn config_snapshot(&self) -> ConfigSnapshot {
+        let capacity = self.faults().expect("decisions imply a plan").capacity();
+        let states = (0..capacity).map(|u| self.state_index(u)).collect();
+        ConfigSnapshot::new(states, self.active_edges())
+    }
 
     /// Applies everything due at the current step counter: scheduled
     /// plan events in order, and adversary decisions resolved against a
@@ -113,6 +181,42 @@ pub(crate) trait Kernel: sealed::Sealed {
     }
 }
 
+/// Implements the [`Kernel`] accessors every engine shares, over its
+/// `machine`, `book` and `faults` fields, its inherent `advance`, and
+/// the predicate view in field `$view`.
+macro_rules! kernel_accessors {
+    ($view:ident) => {
+        fn view(&self) -> &Self::View {
+            &self.$view
+        }
+
+        fn advance(&mut self, max_steps: u64) -> $crate::event::EventStep {
+            Self::advance(self, max_steps)
+        }
+
+        fn book(&self) -> &$crate::engine::Bookkeeping {
+            &self.book
+        }
+
+        fn book_mut(&mut self) -> &mut $crate::engine::Bookkeeping {
+            &mut self.book
+        }
+
+        fn faults(&self) -> Option<&$crate::fault::FaultState> {
+            self.faults.as_ref()
+        }
+
+        fn faults_mut(&mut self) -> Option<&mut $crate::fault::FaultState> {
+            self.faults.as_mut()
+        }
+
+        fn machine(&self) -> &Self::Machine {
+            &self.machine
+        }
+    };
+}
+pub(crate) use kernel_accessors;
+
 pub(crate) mod sealed {
     /// Closes [`Driver`](super::Driver) to the crate's fast engines, and
     /// names what their stability predicates read.
@@ -120,6 +224,9 @@ pub(crate) mod sealed {
         /// The dense [`Population`](crate::Population) or the sparse
         /// [`SparsePop`](crate::SparsePop).
         type View;
+
+        /// The machine the engine executes.
+        type Machine: crate::EnumerableMachine;
     }
 }
 

@@ -450,6 +450,15 @@ impl Bookkeeping {
         self.last_effective = self.steps;
     }
 
+    /// Records `count` edges deleted by a fault at the current `steps`
+    /// count (nothing for 0).
+    pub fn record_fault_edges(&mut self, count: usize) {
+        if count > 0 {
+            self.edge_events += count as u64;
+            self.last_output_change = self.steps;
+        }
+    }
+
     /// The [`RunOutcome`] for a stable predicate observed right now.
     pub fn stabilized_now(&self) -> RunOutcome {
         RunOutcome::Stabilized {

@@ -55,12 +55,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
-use crate::driver::{sealed::Sealed, Kernel};
+use crate::driver::{kernel_accessors, sealed::Sealed, Kernel};
 use crate::engine::{
     apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot, PairSet,
 };
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::{Link, Population};
 
@@ -201,7 +200,7 @@ impl<M: EnumerableMachine> EventSim<M> {
         let fs = FaultState::new(plan, n);
         let mut sim = Self::new(machine, fs.capacity(), seed);
         for ghost in n..fs.capacity() {
-            sim.detach_node(ghost);
+            sim.detach(ghost);
         }
         sim.faults = Some(fs);
         sim
@@ -361,39 +360,6 @@ impl<M: EnumerableMachine> EventSim<M> {
         }
     }
 
-    /// Retires node `x` from the candidate structures: deactivates its
-    /// incident active edges, clears its pair row, and marks it absent
-    /// in the index. Returns the former neighbors, in ascending order.
-    fn detach_node(&mut self, x: usize) -> Vec<usize> {
-        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-        for &w in &neighbors {
-            self.pop.edges_mut().set(x, w, false);
-        }
-        self.index.set_absent(x);
-        let zeros = vec![0u64; self.pairs.row_bits(x).len()];
-        apply_desired_row(&mut self.pairs, x, &zeros);
-        neighbors
-    }
-
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let index = &self.index;
-        let eff = index
-            .table()
-            .can_affect(index.state_index(a), index.state_index(b), Link::Off);
-        self.pairs.set(a, b, eff);
-    }
-
     /// Whether no pair of nodes has any effective interaction — O(1): the
     /// incrementally-maintained possibly-effective set is empty. (Compare
     /// [`Simulation::is_quiescent`](crate::Simulation::is_quiescent)'s
@@ -427,85 +393,59 @@ impl<M: EnumerableMachine> EventSim<M> {
 
 impl<M: EnumerableMachine> Sealed for EventSim<M> {
     type View = Population<M::State>;
+    type Machine = M;
 }
 
 impl<M: EnumerableMachine> Kernel for EventSim<M> {
-    fn view(&self) -> &Population<M::State> {
-        &self.pop
+    kernel_accessors!(pop);
+
+    fn state_index(&self, u: usize) -> usize {
+        self.index.state_index(u)
     }
 
-    fn advance(&mut self, max_steps: u64) -> EventStep {
-        EventSim::advance(self, max_steps)
+    fn active_edges(&self) -> Vec<(usize, usize)> {
+        self.pop.edges().active_edges().collect()
     }
 
-    fn book(&self) -> &Bookkeeping {
-        &self.book
-    }
-
-    fn book_mut(&mut self) -> &mut Bookkeeping {
-        &mut self.book
-    }
-
-    fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    fn faults_mut(&mut self) -> Option<&mut FaultState> {
-        self.faults.as_mut()
-    }
-
-    /// Applies one resolved fault event (alive flags already flipped by
-    /// the resolver): reclassifies candidates and records fault-induced
-    /// edge deletions as output-graph changes.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                let neighbors = self.detach_node(x);
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications, in ascending node order (see
-                // `Machine::on_crash_notify`): state-only changes, so
-                // only the notified node's pair row needs rescanning.
-                for &w in &neighbors {
-                    if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
-                        if *self.pop.state(w) != s2 {
-                            self.pop.set_state(w, s2);
-                            self.index.on_state_change(
-                                &self.machine,
-                                &self.pop,
-                                &mut self.pairs,
-                                w,
-                            );
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                self.index.set_present(x);
-                self.index.rescan_node(&self.pop, &mut self.pairs, x);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // Canonical triangular-index order, shared by every
-                // engine, so the draw depends only on the configuration.
-                let edges: Vec<(usize, usize)> = self.pop.edges().active_edges().collect();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
+    /// Deactivates `x`'s incident active edges, clears its pair row, and
+    /// marks it absent in the index.
+    fn detach(&mut self, x: usize) -> Vec<usize> {
+        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
+        for &w in &neighbors {
+            self.pop.edges_mut().set(x, w, false);
         }
+        self.index.set_absent(x);
+        let zeros = vec![0u64; self.pairs.row_bits(x).len()];
+        apply_desired_row(&mut self.pairs, x, &zeros);
+        neighbors
     }
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n())
-            .map(|u| self.index.state_index(u))
-            .collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
+    fn admit(&mut self, x: usize) {
+        self.index.set_present(x);
+        self.index.rescan_node(&self.pop, &mut self.pairs, x);
+    }
+
+    fn cut_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.pop.edges().is_active(u, v) {
+            return false;
+        }
+        self.pop.edges_mut().set(u, v, false);
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let index = &self.index;
+        let eff = index
+            .table()
+            .can_affect(index.state_index(a), index.state_index(b), Link::Off);
+        self.pairs.set(a, b, eff);
+        true
+    }
+
+    /// A state-only change: only `w`'s pair row needs rescanning.
+    fn set_state(&mut self, w: usize, new: usize) {
+        self.pop.set_state(w, self.machine.state_at(new));
+        self.index
+            .on_state_change(&self.machine, &self.pop, &mut self.pairs, w);
     }
 }
 
@@ -571,6 +511,9 @@ mod tests {
         assert_eq!(sim.effective_pairs(), expected);
     }
 
+    /// Checks the candidate set against a brute-force membership
+    /// recount after every `advance`, on the word-parallel row-diff path
+    /// (the name predates the removal of `EventSim`'s scanning backend).
     #[test]
     fn indexed_and_scanning_modes_agree_step_for_step() {
         // The word-parallel row diff (≤ 32 states) must keep the candidate
@@ -586,6 +529,10 @@ mod tests {
         }
     }
 
+    /// Checks the candidate set against a brute-force membership
+    /// recount after every `advance`, on the per-pair rescan path a
+    /// machine past 32 states takes (the name predates the removal of
+    /// `EventSim`'s scanning backend).
     #[test]
     fn scanning_registry_overflow_falls_back_exactly() {
         // 100 states: past the 32-state register rows, so the index takes

@@ -81,14 +81,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
-use crate::driver::{sealed::Sealed, Kernel};
+use crate::driver::{kernel_accessors, sealed::Sealed, Kernel};
 use crate::engine::{
     apply_desired_row, hypergeometric_count, hypergeometric_skip, unit_open01, Bookkeeping,
     EffectIndex, PairSet,
 };
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::{Link, Population};
 
@@ -681,16 +680,68 @@ impl<M: EnumerableMachine> RoundSim<M> {
             result: StepResult::Effective { pair, edge_changed },
         }
     }
+}
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+impl<M: EnumerableMachine> Sealed for RoundSim<M> {
+    type View = Population<M::State>;
+    type Machine = M;
+}
+
+impl<M: EnumerableMachine> Kernel for RoundSim<M> {
+    kernel_accessors!(pop);
+
+    fn idle_to(&mut self, target: u64) {
+        if target > self.book.steps() {
+            self.jump_quiescent_to(target);
+        }
+    }
+
+    fn state_index(&self, u: usize) -> usize {
+        self.index.state_index(u)
+    }
+
+    fn active_edges(&self) -> Vec<(usize, usize)> {
+        self.pop.edges().active_edges().collect()
+    }
+
+    /// Reclassifies exactly the pairs whose effectiveness flipped. Ghost
+    /// pairs never flip: they stay in the anonymous pool for the rest of
+    /// the round (they are certainly ineffective, which is all the pool
+    /// records), so the pool does *not* shrink on a crash —
+    /// `pool_invariant_holds` is preserved.
+    fn detach(&mut self, x: usize) -> Vec<usize> {
+        // Detach x's effective-set row (every flip is eff→ineff:
+        // cand → resolved-ineffective, scheduled pairs frozen)…
+        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
+        self.index.set_absent(x);
+        let zeros = vec![0u64; old.len()];
+        apply_desired_row(&mut self.pairs, x, &zeros);
+        self.reclass_row(x, &old, None);
+        // …then drop its active edges. The incident pairs are already
+        // out of the effective set, so no further flips.
+        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
+        for &w in &neighbors {
+            self.pop.edges_mut().set(x, w, false);
+        }
+        neighbors
+    }
+
+    /// Re-admits `x` and rescans its row; every flip is ineff→eff,
+    /// resolved against the pool by the urn draw (an arriving pair is
+    /// exchangeable with any other pool member: it has been ineffective
+    /// all round).
+    fn admit(&mut self, x: usize) {
+        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
+        self.index.set_present(x);
+        self.index.rescan_node(&self.pop, &mut self.pairs, x);
+        self.reclass_row(x, &old, None);
+    }
+
+    fn cut_edge(&mut self, u: usize, v: usize) -> bool {
         if !self.pop.edges().is_active(u, v) {
-            return;
+            return false;
         }
         self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
         // A dead endpoint implies an inactive edge, so both ends are
         // alive here; only the link of this one pair changed.
         let (a, b) = (u.min(v), u.max(v));
@@ -703,120 +754,18 @@ impl<M: EnumerableMachine> RoundSim<M> {
             self.pairs.set(a, b, now_eff);
             self.reclass_pair(a, b, now_eff);
         }
-    }
-}
-
-impl<M: EnumerableMachine> Sealed for RoundSim<M> {
-    type View = Population<M::State>;
-}
-
-impl<M: EnumerableMachine> Kernel for RoundSim<M> {
-    fn view(&self) -> &Population<M::State> {
-        &self.pop
+        true
     }
 
-    fn advance(&mut self, max_steps: u64) -> EventStep {
-        RoundSim::advance(self, max_steps)
-    }
-
-    fn book(&self) -> &Bookkeeping {
-        &self.book
-    }
-
-    fn book_mut(&mut self) -> &mut Bookkeeping {
-        &mut self.book
-    }
-
-    fn idle_to(&mut self, target: u64) {
-        if target > self.book.steps() {
-            self.jump_quiescent_to(target);
-        }
-    }
-
-    fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    fn faults_mut(&mut self) -> Option<&mut FaultState> {
-        self.faults.as_mut()
-    }
-
-    /// Applies one resolved fault event, reclassifying exactly the pairs
-    /// whose effectiveness flipped. Ghost pairs never flip: they stay in
-    /// the anonymous pool for the rest of the round (they are certainly
-    /// ineffective, which is all the pool records), so the pool does
-    /// *not* shrink on a crash — `pool_invariant_holds` is preserved.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                // Detach x's effective-set row (every flip is eff→ineff:
-                // cand → resolved-ineffective, scheduled pairs frozen)…
-                let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-                self.index.set_absent(x);
-                let zeros = vec![0u64; old.len()];
-                apply_desired_row(&mut self.pairs, x, &zeros);
-                self.reclass_row(x, &old, None);
-                // …then drop its active edges. The incident pairs are
-                // already out of the effective set, so no further flips.
-                let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-                for &w in &neighbors {
-                    self.pop.edges_mut().set(x, w, false);
-                }
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications, in ascending node order: each is
-                // a state-only change handled like any mid-round flip —
-                // rescan the row, then reclassify exactly the diff
-                // (scheduled pairs stay frozen, ineff→eff flips resolve
-                // against the pool by the urn draw).
-                for &w in &neighbors {
-                    if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
-                        if *self.pop.state(w) != s2 {
-                            let old_w: Vec<u64> = self.pairs.row_bits(w).to_vec();
-                            self.pop.set_state(w, s2);
-                            self.index.on_state_change(
-                                &self.machine,
-                                &self.pop,
-                                &mut self.pairs,
-                                w,
-                            );
-                            self.reclass_row(w, &old_w, None);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                // Re-admit x and rescan its row; every flip is
-                // ineff→eff, resolved against the pool by the urn draw
-                // (an arriving pair is exchangeable with any other pool
-                // member: it has been ineffective all round).
-                let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-                self.index.set_present(x);
-                self.index.rescan_node(&self.pop, &mut self.pairs, x);
-                self.reclass_row(x, &old, None);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // Canonical triangular-index order, shared by every
-                // engine, so the draw depends only on the configuration.
-                let edges: Vec<(usize, usize)> = self.pop.edges().active_edges().collect();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
-        }
-    }
-
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n())
-            .map(|u| self.index.state_index(u))
-            .collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
+    /// Handled like any mid-round flip: rescan the row, then reclassify
+    /// exactly the diff (scheduled pairs stay frozen, ineff→eff flips
+    /// resolve against the pool by the urn draw).
+    fn set_state(&mut self, w: usize, new: usize) {
+        let old: Vec<u64> = self.pairs.row_bits(w).to_vec();
+        self.pop.set_state(w, self.machine.state_at(new));
+        self.index
+            .on_state_change(&self.machine, &self.pop, &mut self.pairs, w);
+        self.reclass_row(w, &old, None);
     }
 }
 

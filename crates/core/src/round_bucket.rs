@@ -92,11 +92,10 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::bucket::SparsePop;
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::driver::{sealed::Sealed, Kernel};
+use crate::driver::{kernel_accessors, sealed::Sealed, Kernel};
 use crate::engine::{hypergeometric_count_large, hypergeometric_skip, unit_open01, Bookkeeping};
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::{Link, Population};
 
@@ -280,15 +279,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// presents pairs in a fixed node order).
     #[must_use]
     pub fn new(machine: M, n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "RoundBucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "RoundBucketSim's dense class index is u16: more than 65536 states"
-        );
-        let initial = machine.state_index(&machine.initial_state());
-        let sp = SparsePop::new(n, num_states, initial);
+        let sp = SparsePop::initial(&machine, n);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -300,21 +291,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// As [`new`](Self::new).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        let n = pop.n();
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "RoundBucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "RoundBucketSim's dense class index is u16: more than 65536 states"
-        );
-        let mut sp = SparsePop::new(n, num_states, machine.state_index(pop.state(0)));
-        for u in 0..n {
-            sp.set_state_index(u, machine.state_index(pop.state(u)));
-        }
-        for (u, v) in pop.edges().active_edges() {
-            sp.set_edge(u, v, true);
-        }
+        let sp = SparsePop::from_population(&machine, &pop);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -1389,44 +1366,13 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The fault layer.
-// ---------------------------------------------------------------------
-impl<M: EnumerableMachine> RoundBucketSim<M> {
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair — explicit by the
-    /// active-edge invariant.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        self.sp.set_edge(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        self.recompute_x(u, v);
-    }
-}
-
 impl<M: EnumerableMachine> Sealed for RoundBucketSim<M> {
     type View = SparsePop;
+    type Machine = M;
 }
 
 impl<M: EnumerableMachine> Kernel for RoundBucketSim<M> {
-    fn view(&self) -> &SparsePop {
-        &self.sp
-    }
-
-    fn advance(&mut self, max_steps: u64) -> EventStep {
-        RoundBucketSim::advance(self, max_steps)
-    }
-
-    fn book(&self) -> &Bookkeeping {
-        &self.book
-    }
-
-    fn book_mut(&mut self) -> &mut Bookkeeping {
-        &mut self.book
-    }
+    kernel_accessors!(sp);
 
     fn idle_to(&mut self, target: u64) {
         if target > self.book.steps() {
@@ -1434,112 +1380,83 @@ impl<M: EnumerableMachine> Kernel for RoundBucketSim<M> {
         }
     }
 
-    fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
+    fn state_index(&self, u: usize) -> usize {
+        self.sp.state_index(u)
     }
 
-    fn faults_mut(&mut self) -> Option<&mut FaultState> {
-        self.faults.as_mut()
+    fn active_edges(&self) -> Vec<(usize, usize)> {
+        self.sp.canonical_edges()
     }
 
-    /// Applies one resolved fault event, reclassifying exactly the
-    /// cohorts and explicit pairs whose effectiveness flipped. The draw
-    /// space stays frozen at the capacity: dead pairs keep consuming
-    /// their round occurrences as anonymous non-candidates, so the pool
-    /// does *not* shrink on a crash and `pool_invariant_holds` is
-    /// preserved.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                // Touch x first (it may still be anonymous), then flip
-                // every structure that keys on its liveness: its cohorts
-                // all demote to non-candidates, its explicit pairs all
-                // turn ineffective, and its untouched pairs stop being
-                // counted (x leaves the touched buckets; its urn rows
-                // were just demoted).
-                self.ensure_touched(x);
-                self.alive[x] = false;
-                self.tbucket_remove(x, self.sp.state_index(x));
-                self.sp.bucket_remove(x);
-                self.update_urn_flags(x);
-                let partners: Vec<u32> = self.x_by_node[x].clone();
-                for w in partners {
-                    self.recompute_x(x, w as usize);
-                }
-                // Drop x's active edges (explicit pairs by invariant),
-                // notifications in ascending node order like the other
-                // engines.
-                let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
-                neighbors.sort_unstable();
-                for &w in &neighbors {
-                    self.sp.set_edge(x, w, false);
-                    self.recompute_x(x, w);
-                }
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                for &w in &neighbors {
-                    let sw = self.sp.state_index(w);
-                    if let Some(new) = self.machine.notify_indexed(sw) {
-                        if new != sw {
-                            self.ensure_touched(w);
-                            self.apply_state_change(w, new);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                // The ghost was born touched; it joins as a live node
-                // with fresh pool-sourced cohorts over the untouched
-                // classes. `reset_dead` stays set: pairs owned by
-                // earlier-touched nodes were never in their urns (x was
-                // dead then) and keep resolving against the pool.
-                debug_assert!(!self.alive[x] && self.touched[x] && self.reset_dead[x]);
-                self.alive[x] = true;
-                self.sp.bucket_insert(x);
-                let q = self.sp.state_index(x);
-                self.rs_class[x] = q as u16;
-                self.tseq[x] = self.seq_next;
-                self.seq_next += 1;
-                self.tbucket_insert(x, q);
-                for q2 in 0..self.nq {
-                    let k = self.ubuckets[q2].len() as u64;
-                    if k > 0 {
-                        self.make_urn(x, q2, k, true);
-                    }
-                }
-                self.tbucket_sup_scan(x);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // The dense engines sample from the triangular-index
-                // order, lexicographic in (min, max) — sort the
-                // adjacency-derived list to match.
-                let mut edges: Vec<(usize, usize)> = Vec::with_capacity(self.sp.active_count());
-                for u in 0..self.sp.n() {
-                    edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-                }
-                edges.sort_unstable();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
+    /// Reclassifies exactly the cohorts and explicit pairs whose
+    /// effectiveness flipped. The draw space stays frozen at the
+    /// capacity: dead pairs keep consuming their round occurrences as
+    /// anonymous non-candidates, so the pool does *not* shrink on a
+    /// crash and `pool_invariant_holds` is preserved.
+    fn detach(&mut self, x: usize) -> Vec<usize> {
+        // Touch x first (it may still be anonymous), then flip every
+        // structure that keys on its liveness: its cohorts all demote to
+        // non-candidates, its explicit pairs all turn ineffective, and
+        // its untouched pairs stop being counted (x leaves the touched
+        // buckets; its urn rows were just demoted).
+        self.ensure_touched(x);
+        self.alive[x] = false;
+        self.tbucket_remove(x, self.sp.state_index(x));
+        self.sp.bucket_remove(x);
+        self.update_urn_flags(x);
+        let partners: Vec<u32> = self.x_by_node[x].clone();
+        for w in partners {
+            self.recompute_x(x, w as usize);
+        }
+        // Drop x's active edges (explicit pairs by invariant).
+        let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
+        neighbors.sort_unstable();
+        for &w in &neighbors {
+            self.sp.set_edge(x, w, false);
+            self.recompute_x(x, w);
+        }
+        neighbors
+    }
+
+    /// The ghost was born touched; it joins as a live node with fresh
+    /// pool-sourced cohorts over the untouched classes. `reset_dead`
+    /// stays set: pairs owned by earlier-touched nodes were never in
+    /// their urns (x was dead then) and keep resolving against the pool.
+    fn admit(&mut self, x: usize) {
+        debug_assert!(!self.alive[x] && self.touched[x] && self.reset_dead[x]);
+        self.alive[x] = true;
+        self.sp.bucket_insert(x);
+        let q = self.sp.state_index(x);
+        self.rs_class[x] = q as u16;
+        self.tseq[x] = self.seq_next;
+        self.seq_next += 1;
+        self.tbucket_insert(x, q);
+        for q2 in 0..self.nq {
+            let k = self.ubuckets[q2].len() as u64;
+            if k > 0 {
+                self.make_urn(x, q2, k, true);
             }
         }
+        self.tbucket_sup_scan(x);
+    }
+
+    /// The affected pair is explicit by the active-edge invariant.
+    fn cut_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.sp.is_active(u, v) {
+            return false;
+        }
+        self.sp.set_edge(u, v, false);
+        self.recompute_x(u, v);
+        true
+    }
+
+    fn set_state(&mut self, w: usize, new: usize) {
+        self.ensure_touched(w);
+        self.apply_state_change(w, new);
+    }
+
+    fn fault_applied(&mut self) {
         debug_assert!(self.pool_invariant_holds());
-    }
-
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set read off the sparse
-    /// adjacency (the snapshot sorts, so iteration order is moot).
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.sp.n()).map(|u| self.sp.state_index(u)).collect();
-        let mut edges = Vec::with_capacity(self.sp.active_count());
-        for u in 0..self.sp.n() {
-            edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-        }
-        ConfigSnapshot::new(states, edges)
     }
 }
 

@@ -299,27 +299,7 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         budget_bytes: u64,
         scheduler: SchedulerKind,
     ) -> Self {
-        let dense_ok = |estimate: u64| n <= usize::from(u16::MAX) && estimate <= budget_bytes;
-        match scheduler {
-            SchedulerKind::Uniform => {
-                if dense_ok(EventSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(EventSim::new(machine.clone(), n, seed));
-                    Engine::Dense { sim, machine }
-                } else {
-                    let sim = Box::new(BucketSim::new(machine.clone(), n, seed));
-                    Engine::Sparse { sim, machine }
-                }
-            }
-            SchedulerKind::ShuffledRounds => {
-                if dense_ok(RoundSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(RoundSim::new(machine.clone(), n, seed));
-                    Engine::Round { sim, machine }
-                } else {
-                    let sim = Box::new(RoundBucketSim::new(machine.clone(), n, seed));
-                    Engine::RoundSparse { sim, machine }
-                }
-            }
-        }
+        Self::select(machine, n, seed, budget_bytes, scheduler, None)
     }
 
     /// Selects a uniform-scheduler engine for a faulted run under the
@@ -364,28 +344,42 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         scheduler: SchedulerKind,
         plan: FaultPlan,
     ) -> Self {
-        let capacity = n + plan.arrival_count();
-        let dense_ok =
-            |estimate: u64| capacity <= usize::from(u16::MAX) && estimate <= budget_bytes;
-        match scheduler {
-            SchedulerKind::Uniform => {
-                if dense_ok(EventSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(EventSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Dense { sim, machine }
-                } else {
-                    let sim = Box::new(BucketSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Sparse { sim, machine }
+        Self::select(machine, n, seed, budget_bytes, scheduler, Some(plan))
+    }
+
+    /// The one selection body behind the public constructors: the
+    /// family's dense engine if its estimate for the node range fits
+    /// (`n`, plus planned arrivals under a plan), else its sparse one.
+    fn select(
+        machine: M,
+        n: usize,
+        seed: u64,
+        budget_bytes: u64,
+        scheduler: SchedulerKind,
+        plan: Option<FaultPlan>,
+    ) -> Self {
+        let size = n + plan.as_ref().map_or(0, FaultPlan::arrival_count);
+        let estimate = match scheduler {
+            SchedulerKind::Uniform => EventSim::<M>::dense_mem_estimate(size),
+            SchedulerKind::ShuffledRounds => RoundSim::<M>::dense_mem_estimate(size),
+        };
+        let dense = size <= usize::from(u16::MAX) && estimate <= budget_bytes;
+        macro_rules! build {
+            ($arm:ident, $engine:ident) => {
+                Engine::$arm {
+                    sim: Box::new(match plan {
+                        Some(plan) => $engine::new_faulted(machine.clone(), n, seed, plan),
+                        None => $engine::new(machine.clone(), n, seed),
+                    }),
+                    machine,
                 }
-            }
-            SchedulerKind::ShuffledRounds => {
-                if dense_ok(RoundSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(RoundSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Round { sim, machine }
-                } else {
-                    let sim = Box::new(RoundBucketSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::RoundSparse { sim, machine }
-                }
-            }
+            };
+        }
+        match (scheduler, dense) {
+            (SchedulerKind::Uniform, true) => build!(Dense, EventSim),
+            (SchedulerKind::Uniform, false) => build!(Sparse, BucketSim),
+            (SchedulerKind::ShuffledRounds, true) => build!(Round, RoundSim),
+            (SchedulerKind::ShuffledRounds, false) => build!(RoundSparse, RoundBucketSim),
         }
     }
 

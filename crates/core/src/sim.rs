@@ -809,6 +809,9 @@ mod tests {
         let _ = Simulation::new(matching_protocol(), 1, 0);
     }
 
+    /// Checks the naive engine's O(n²) quiescence scans against
+    /// `EventSim`'s candidate set (the name predates the removal of the
+    /// naive engine's opt-in tracker).
     #[test]
     fn tracked_quiescence_agrees_with_scan() {
         // The O(n²) quiescence scans against the event engine's
